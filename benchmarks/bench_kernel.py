@@ -1,8 +1,8 @@
-"""Micro-benchmark: scalar vs vectorized event kernel on the walker path.
+"""Micro-benchmark: scalar oracles vs the production walker and replay.
 
 Times trace recording for every (benchmark, input) cell of the suite
-under both kernels, asserts the event streams are byte-identical, and
-writes ``BENCH_kernel.json``::
+with the scalar ``CFGWalker`` oracle and the vectorized kernel, asserts
+the event streams are byte-identical, and writes ``BENCH_kernel.json``::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --out BENCH_kernel.json
 
@@ -16,18 +16,19 @@ comparison.
 The headline ``walker`` section times the raw event kernels with no
 per-block index on either side (``CFGWalker.run`` vs
 ``VecWalker.run_batches`` + assembly).  The secondary ``replay_ready``
-section times the full hand-off to the replay DBTs — trace plus
-per-block event index (built incrementally by the vector path, by one
-full argsort on the scalar path) — the denominator that matters for
-end-to-end study runs.
+section times the full hand-off to the replay — trace plus per-block
+event index (built incrementally by the production
+:func:`~repro.stochastic.record_trace`, by one full argsort on the
+scalar path) — the denominator that matters for end-to-end study runs.
 
 The ``replay_path`` section races the *consumers* of that hand-off:
-the per-event scalar replay oracle against the batched windowed sweep,
-each running the same multi-threshold replay over an identical
-pre-recorded trace and then pricing every threshold's translation map
-(the batched side sharing one ``CostTables`` across the sweep, exactly
-as the harness does).  Both sides must produce bit-identical cost
-breakdowns.
+the per-event scalar replay oracle
+(:func:`~repro.dbt.batchreplay.run_scalar_replay`, one threshold at a
+time) against the production ``MultiThresholdReplay``, each replaying
+every threshold over an identical pre-recorded trace and then pricing
+every threshold's translation map (the production side sharing one
+``CostTables`` across the sweep, exactly as the harness does).  Both
+sides must produce bit-identical cost breakdowns.
 
 Run as a script (pytest collects this file but finds no tests in it).
 """
@@ -59,7 +60,8 @@ def bench_kernels(reps, scale, with_index=False):
 
     ``with_index=False`` races the raw kernels (no per-block event index
     on either side); ``with_index=True`` races the replay-ready hand-off
-    (trace *plus* index, via the public :func:`record_trace` path).
+    (trace *plus* index; the vector side via the public
+    :func:`record_trace` path).
     """
     import numpy as np
 
@@ -75,12 +77,10 @@ def bench_kernels(reps, scale, with_index=False):
             cfg = benchmark.cfg
             if with_index:
                 t0 = time.perf_counter()
-                scalar = record_trace(cfg, behavior, steps, seed=seed,
-                                      kernel="scalar")
+                scalar = CFGWalker(cfg, behavior, seed=seed).run(steps)
                 scalar.events()
                 t1 = time.perf_counter()
-                vector = record_trace(cfg, behavior, steps, seed=seed,
-                                      kernel="vector")
+                vector = record_trace(cfg, behavior, steps, seed=seed)
                 vector.events()
                 t2 = time.perf_counter()
             else:
@@ -106,13 +106,18 @@ def bench_replay(reps, scale):
 
     Each cell pre-records one reference trace (vector kernel — both
     contenders consume identical bytes), then races, per repetition,
-    the scalar oracle (per-event merged-heap sweep + per-call cost
-    estimates) against the batched path (windowed numpy sweep + one
-    shared ``CostTables``) over the full ``SIM_THRESHOLDS`` ladder.
-    The cost breakdowns must agree field for field with ``==`` on the
-    raw floats — the same identity the golden corpus pins.
+    the scalar oracle (per-event heap walk per threshold + per-call
+    cost estimates) against the production path (batched windowed
+    sweeps + one shared ``CostTables``) over the full
+    ``SIM_THRESHOLDS`` ladder.  The cost breakdowns must agree field
+    for field with ``==`` on the raw floats — the same identity the
+    golden corpus pins.
     """
-    from repro.dbt import MultiThresholdReplay
+    from repro.cfg.loops import find_loops
+    from repro.dbt import (DBTConfig, MultiThresholdReplay,
+                           ThresholdReplayState)
+    from repro.dbt.batchreplay import run_scalar_replay
+    from repro.dbt.multireplay import registration_positions
     from repro.perfmodel import CostTables, estimate_cost
     from repro.stochastic import record_trace
     from repro.workloads.spec import SIM_THRESHOLDS
@@ -126,14 +131,24 @@ def bench_replay(reps, scale):
         behavior, steps, seed = _cell_params(benchmark, input_name)
         cfg = benchmark.cfg
         sizes = benchmark.workload.sizes
-        trace = record_trace(cfg, behavior, steps, seed=seed,
-                             kernel="vector")
+        trace = record_trace(cfg, behavior, steps, seed=seed)
 
-        def run_side(kernel):
-            sweep = MultiThresholdReplay(trace, cfg, thresholds,
-                                         replay_kernel=kernel).run()
-            tables = (CostTables(trace, sizes)
-                      if kernel == "batched" else None)
+        def oracle_side():
+            loops = find_loops(cfg)
+            events = trace.events()
+            priced = []
+            for t in thresholds:
+                config = DBTConfig(threshold=t)
+                state = ThresholdReplayState(trace, cfg, config, loops)
+                run_scalar_replay(registration_positions(events, t),
+                                  config, state.optimize_blocks)
+                priced.append(estimate_cost(trace, state.translation_map(),
+                                            sizes))
+            return priced
+
+        def production_side():
+            sweep = MultiThresholdReplay(trace, cfg, thresholds).run()
+            tables = CostTables(trace, sizes)
             return [estimate_cost(trace,
                                   sweep.state(t).translation_map(),
                                   sizes, tables=tables)
@@ -142,9 +157,9 @@ def bench_replay(reps, scale):
         cell = [float("inf"), float("inf")]
         for rep in range(reps):
             t0 = time.perf_counter()
-            scalar = run_side("scalar")
+            scalar = oracle_side()
             t1 = time.perf_counter()
-            batched = run_side("batched")
+            batched = production_side()
             t2 = time.perf_counter()
             cell[0] = min(cell[0], t1 - t0)
             cell[1] = min(cell[1], t2 - t1)

@@ -6,11 +6,8 @@ under an interleaved best-of-2 protocol (contenders alternate inside
 each rep so machine drift hits all of them equally; the per-contender
 minimum is reported).  Verifies the figure data is byte-identical
 across every backend, measures the single-pass multi-threshold replay
-against per-threshold replays, compares the fully scalar pipeline
-(scalar walker + scalar replay) against the fully vectorized one
-(vector walker + batched replay) end-to-end — plus the replay axis in
-isolation — and writes everything to ``BENCH_study.json`` so CI can
-track the perf trajectory PR-over-PR::
+against per-threshold replays, and writes everything to
+``BENCH_study.json`` so CI can track the perf trajectory PR-over-PR::
 
     PYTHONPATH=src python benchmarks/bench_study.py --out BENCH_study.json
 
@@ -184,40 +181,6 @@ def main(argv=None) -> int:
     print(f"replay sweep: per-threshold {single_sum:.3f}s vs "
           f"single-pass {multi:.3f}s ({replay_speedup:.2f}x)")
 
-    # Fully scalar vs fully vectorized pipeline over the same reduced
-    # study (serial, so the comparison is not confounded by pool
-    # scheduling): scalar walker + scalar replay oracle against vector
-    # walker + batched replay.  The figure data must be byte-identical —
-    # the kernels differ only in how fast they produce the same results.
-    scalar_seconds, scalar_results = _run_study(args.scale, jobs=1,
-                                                kernel="scalar",
-                                                replay_kernel="scalar")
-    vector_seconds, vector_results = _run_study(args.scale, jobs=1,
-                                                kernel="vector",
-                                                replay_kernel="batched")
-    kernels_identical = _strip_manifest_bytes(scalar_results) == \
-        _strip_manifest_bytes(vector_results)
-    kernel_speedup = (scalar_seconds / vector_seconds
-                      if vector_seconds else 0.0)
-    print(f"kernel: scalar {scalar_seconds:.2f}s vs vector "
-          f"{vector_seconds:.2f}s ({kernel_speedup:.2f}x end-to-end, "
-          f"figure data identical: {kernels_identical})")
-
-    # The replay axis in isolation: same (vector) walker on both sides,
-    # scalar replay oracle vs batched windowed sweep.
-    rk_scalar_seconds, rk_scalar_results = _run_study(
-        args.scale, jobs=1, replay_kernel="scalar")
-    rk_batched_seconds, rk_batched_results = _run_study(
-        args.scale, jobs=1, replay_kernel="batched")
-    replay_kernels_identical = _strip_manifest_bytes(rk_scalar_results) \
-        == _strip_manifest_bytes(rk_batched_results)
-    replay_kernel_speedup = (rk_scalar_seconds / rk_batched_seconds
-                             if rk_batched_seconds else 0.0)
-    print(f"replay kernel: scalar {rk_scalar_seconds:.2f}s vs batched "
-          f"{rk_batched_seconds:.2f}s ({replay_kernel_speedup:.2f}x "
-          f"end-to-end, figure data identical: "
-          f"{replay_kernels_identical})")
-
     process_manifest = kept["process"].manifest or {}
     payload = {
         "benchmarks": BENCH_NAMES,
@@ -242,33 +205,13 @@ def main(argv=None) -> int:
             "single_pass_seconds": round(multi, 3),
             "speedup": round(replay_speedup, 3),
         },
-        "kernel": {
-            "scalar_seconds": round(scalar_seconds, 3),
-            "vector_seconds": round(vector_seconds, 3),
-            "end_to_end_speedup": round(kernel_speedup, 3),
-            "figure_data_identical": kernels_identical,
-            "note": "whole-study wall time, fully scalar pipeline "
-                    "(scalar walker + scalar replay) vs fully "
-                    "vectorized (vector walker + batched replay); the "
-                    "isolated path speedups are measured by "
-                    "benchmarks/bench_kernel.py",
-        },
-        "replay_kernel": {
-            "scalar_seconds": round(rk_scalar_seconds, 3),
-            "batched_seconds": round(rk_batched_seconds, 3),
-            "end_to_end_speedup": round(replay_kernel_speedup, 3),
-            "figure_data_identical": replay_kernels_identical,
-            "note": "whole-study wall time, vector walker on both "
-                    "sides; only the replay kernel differs",
-        },
         "flags": flags,
     }
     with open(args.out, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
     print(f"wrote {args.out}")
-    if not identical or not kernels_identical \
-            or not replay_kernels_identical:
+    if not identical:
         return 1
     if speedup is not None and speedup <= 1.0:
         return 1

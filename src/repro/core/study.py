@@ -13,13 +13,12 @@ trace) this module produces everything the evaluation section plots:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import LoopForest, find_loops
 from ..dbt.config import DBTConfig
 from ..dbt.multireplay import MultiThresholdReplay, ThresholdReplayState
-from ..dbt.replay import ReplayDBT
 from ..obs.spans import span
 from ..profiles.merge import avep_from_trace
 from ..profiles.model import ProfileSnapshot
@@ -33,17 +32,14 @@ from .train_regions import TrainRegionComparison, compare_train_regions
 class ThresholdOutcome:
     """INIP(T) and its comparison against AVEP, for one threshold.
 
-    ``replay`` is the finished pipeline state the snapshot came from —
-    a :class:`~repro.dbt.multireplay.ThresholdReplayState` when produced
-    by the single-pass sweep, or a standalone
-    :class:`~repro.dbt.replay.ReplayDBT`; both expose the same
-    ``regions``/``freeze_step``/``translation_map()`` surface.
+    ``replay`` is the finished pipeline state the snapshot came from
+    (its ``regions``/``freeze_step``/``translation_map()``).
     """
 
     threshold: int
     snapshot: ProfileSnapshot
     comparison: ComparisonResult
-    replay: Union[ThresholdReplayState, ReplayDBT] = field(repr=False)
+    replay: ThresholdReplayState = field(repr=False)
 
     @property
     def profiling_ops(self) -> int:
@@ -101,8 +97,7 @@ def run_threshold_sweep(name: str,
                         train_trace: ExecutionTrace,
                         thresholds: Sequence[int],
                         base_config: Optional[DBTConfig] = None,
-                        loops: Optional[LoopForest] = None,
-                        replay_kernel: Optional[str] = None
+                        loops: Optional[LoopForest] = None
                         ) -> BenchmarkStudy:
     """Run the full §2 methodology for one benchmark.
 
@@ -118,9 +113,6 @@ def run_threshold_sweep(name: str,
         base_config: DBT knobs; its threshold field is overridden per
             sweep point.
         loops: optional precomputed loop forest.
-        replay_kernel: replay engine for the sweep, ``"scalar"`` or
-            ``"batched"`` (default ``$REPRO_REPLAY_KERNEL``, else
-            batched); outcomes are identical either way.
     """
     base_config = base_config or DBTConfig()
     loops = loops or find_loops(cfg)
@@ -133,12 +125,11 @@ def run_threshold_sweep(name: str,
         train_region_comparison = compare_train_regions(
             cfg, train_profile, avep, config=base_config, loops=loops)
 
-    # One merged pass over the reference trace maintains every
-    # threshold's freeze state simultaneously (event-for-event equivalent
-    # to per-threshold ReplayDBT runs; see repro.dbt.multireplay).
+    # One replay over the reference trace yields every threshold's
+    # finished pipeline state (see repro.dbt.multireplay).
     multi = MultiThresholdReplay(ref_trace, cfg, thresholds,
-                                 base_config=base_config, loops=loops,
-                                 replay_kernel=replay_kernel).run()
+                                 base_config=base_config,
+                                 loops=loops).run()
     outcomes: Dict[int, ThresholdOutcome] = {}
     for threshold in dict.fromkeys(thresholds):
         state = multi.state(threshold)

@@ -5,11 +5,11 @@
 * :mod:`repro.dbt.pool` — candidate pool and retranslation triggers.
 * :mod:`repro.dbt.regions` — optimisation-phase region formation.
 * :mod:`repro.dbt.translator` — the live, event-driven translator.
-* :mod:`repro.dbt.replay` — threshold sweeps over recorded traces.
-* :mod:`repro.dbt.multireplay` — single-pass sweeps of many thresholds.
-* :mod:`repro.dbt.replay_kernel` — scalar-oracle vs batched replay
-  kernel selection (``$REPRO_REPLAY_KERNEL``).
-* :mod:`repro.dbt.batchreplay` — the batched windowed replay sweep.
+* :mod:`repro.dbt.multireplay` — trace replay of many thresholds in one
+  pass.
+* :mod:`repro.dbt.replay` — the single-threshold replay.
+* :mod:`repro.dbt.batchreplay` — the batched windowed replay sweep (and
+  the scalar heap-walk oracle the tests measure it against).
 * :mod:`repro.dbt.codecache` — block-level translation summaries for the
   performance model.
 """
@@ -21,17 +21,11 @@ from .multireplay import MultiThresholdReplay, ThresholdReplayState
 from .pool import CandidatePool
 from .regions import FormationResult, RegionFormer
 from .replay import ReplayDBT, inip_from_trace
-from .replay_kernel import (DEFAULT_REPLAY_CHUNK, DEFAULT_REPLAY_KERNEL,
-                            REPLAY_CHUNK_ENV, REPLAY_KERNEL_ENV,
-                            REPLAY_KERNELS, resolve_replay_chunk,
-                            resolve_replay_kernel)
 from .translator import TwoPhaseDBT
 
 __all__ = [
-    "CandidatePool", "CounterTable", "DBTConfig", "DEFAULT_REPLAY_CHUNK",
-    "DEFAULT_REPLAY_KERNEL", "FormationResult", "MultiThresholdReplay",
-    "REPLAY_CHUNK_ENV", "REPLAY_KERNEL_ENV", "REPLAY_KERNELS",
-    "RegionFormer", "ReplayDBT", "ThresholdReplayState", "TranslationMap",
-    "TwoPhaseDBT", "inip_from_trace", "resolve_replay_chunk",
-    "resolve_replay_kernel", "translation_map_from_replay",
+    "CandidatePool", "CounterTable", "DBTConfig", "FormationResult",
+    "MultiThresholdReplay", "RegionFormer", "ReplayDBT",
+    "ThresholdReplayState", "TranslationMap", "TwoPhaseDBT",
+    "inip_from_trace", "translation_map_from_replay",
 ]

@@ -1,9 +1,16 @@
-"""The batched replay sweep: registration windows instead of heap pops.
+"""The replay sweeps: registration windows instead of heap pops.
 
-The scalar replay walk (:class:`~repro.dbt.replay.ReplayDBT`) pops one
-``(position, block)`` registration event at a time off a heap and runs
-the candidate-pool state machine per event in Python.  This module
-replays the *same* event stream in bulk:
+Both engines here drive one threshold's registration stream through the
+candidate-pool state machine and call back into the host state at every
+optimisation trigger; they differ only in how they walk the stream.
+
+:func:`run_scalar_replay` is the oracle: it pops one ``(position,
+block)`` registration event at a time off a heap and runs
+:class:`~repro.dbt.pool.CandidatePool` per event in Python.  It is kept
+for the differential tests and ``benchmarks/bench_kernel.py`` only.
+
+:func:`run_batched_replay` is the production engine.  It replays the
+*same* event stream in bulk:
 
 1. every live block's next registrations are gathered into one sorted
    **position window** (numpy concatenate + argsort over the precomputed
@@ -12,11 +19,10 @@ replays the *same* event stream in bulk:
    detection, pool-membership lookup and the running pool-size cumsum
    find the earliest trigger as array operations;
 3. only at a trigger does Python run: the pool is drained and the
-   caller's optimisation callback fires, exactly like the scalar
-   ``_optimize``; the scan then resumes after the trigger with the
-   updated freeze set.
+   caller's optimisation callback fires, exactly like the oracle; the
+   scan then resumes after the trigger with the updated freeze set.
 
-Equivalence to the scalar walk (the differential suite in
+Equivalence to the oracle (the differential suite in
 ``tests/dbt/test_replay_diff.py`` pins it case by case):
 
 * within one threshold every registration event has a **distinct** trace
@@ -24,32 +30,38 @@ Equivalence to the scalar walk (the differential suite in
   position reproduces the heap's total order exactly;
 * between two triggers the only state that changes is pool membership —
   precisely what the cumulative-sum scan models — so the earliest
-  trigger found by the scan is the trigger the scalar walk would hit;
+  trigger found by the scan is the trigger the oracle would hit;
 * frozen blocks are excluded when a window is built and re-filtered
-  after every trigger, matching the scalar walk's skip-on-pop check;
-* the pool drains completely at every trigger (scalar ``drain``), so
-  blocks dropped by region formation without being optimised re-register
-  later as fresh members, in both kernels.
+  after every trigger, matching the oracle's skip-on-pop check;
+* the pool drains completely at every trigger (``CandidatePool.drain``),
+  so blocks dropped by region formation without being optimised
+  re-register later as fresh members, in both engines.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Set
+from typing import Callable, List, Mapping, Set, Tuple
 
 import numpy as np
 
 from .config import DBTConfig
-from .replay_kernel import DEFAULT_REPLAY_CHUNK
+from .pool import CandidatePool
 
 #: The optimisation callback: ``(drained_pool_blocks, now) -> newly
-#: frozen block ids``.  Bound to the host replay's ``_optimize_blocks``.
+#: frozen block ids``.  Bound to
+#: :meth:`~repro.dbt.multireplay.ThresholdReplayState.optimize_blocks`.
 OptimizeFn = Callable[[List[int], int], Set[int]]
+
+#: Target registration events per batched window.
+DEFAULT_REPLAY_CHUNK = 2048
 
 
 @dataclass
 class ReplaySweepStats:
-    """What one batched sweep did, for the ``replay.kernel.*`` counters."""
+    """What one batched sweep did, for the ``replay.kernel.batched.*``
+    counters."""
 
     windows: int = 0
     events: int = 0
@@ -65,7 +77,7 @@ def run_batched_replay(positions: Mapping[int, np.ndarray],
 
     Args:
         positions: per block, its sorted registration positions (from
-            :func:`~repro.dbt.replay.registration_positions`).
+            :func:`~repro.dbt.multireplay.registration_positions`).
         config: the threshold's DBT knobs (pool trigger size and the
             register-twice rule are read here).
         optimize_blocks: drains into the host pipeline state; returns
@@ -75,8 +87,8 @@ def run_batched_replay(positions: Mapping[int, np.ndarray],
         chunk: target registration events per window.  Windows adapt to
             event density — only *live* (unfrozen, unexhausted) blocks
             contribute — so post-freeze registrations are never
-            materialised and tiny thresholds cost what the scalar heap
-            pays, not the full registration count.
+            materialised and tiny thresholds cost what the scalar
+            oracle pays, not the full registration count.
     """
     stats = ReplaySweepStats()
     ids = np.fromiter(positions.keys(), dtype=np.int64,
@@ -164,3 +176,30 @@ def run_batched_replay(positions: Mapping[int, np.ndarray],
             if newly:
                 frozen[list(newly)] = True
             i0 = int(idxs[t]) + 1
+
+
+def run_scalar_replay(positions: Mapping[int, np.ndarray],
+                      config: DBTConfig,
+                      optimize_blocks: OptimizeFn) -> None:
+    """The oracle heap walk: one Python iteration per registration.
+
+    Same inputs and callback protocol as :func:`run_batched_replay`
+    (it keeps no sweep stats).  Only each block's *next* registration
+    is enqueued, so tiny thresholds don't flood the heap up front.
+    """
+    pool = CandidatePool(config)
+    frozen: Set[int] = set()
+    heap: List[Tuple[int, int, int]] = [
+        (int(regs[0]), block, 1) for block, regs in positions.items()]
+    heapq.heapify(heap)
+
+    while heap:
+        pos, block, k = heapq.heappop(heap)
+        if block in frozen:
+            continue  # counting stopped before this occurrence
+        if pool.register(block):
+            frozen.update(optimize_blocks(pool.drain(), pos + 1))
+        if block not in frozen:
+            regs = positions[block]
+            if k < len(regs):
+                heapq.heappush(heap, (int(regs[k]), block, k + 1))

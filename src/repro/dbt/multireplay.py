@@ -1,59 +1,129 @@
-"""Single-pass multi-threshold replay: one trace walk, every INIP(T).
+"""Trace replay of the two-phase pipeline: one trace walk, every INIP(T).
 
-:class:`~repro.dbt.replay.ReplayDBT` replays one threshold per pass, so a
-13-point sweep re-seeds a heap and re-walks the registration stream 13
-times.  :class:`MultiThresholdReplay` maintains the per-threshold pipeline
-state (candidate pool, freeze steps, regions) for *all* swept thresholds
-simultaneously and drains one merged event heap, so the sweep costs a
-single ordered pass over the union of every threshold's registration
-events.
+Running the live translator once per (benchmark, threshold) pair would
+re-walk the whole event stream for every threshold.  Because the DBT's
+decisions depend only on *when each block reaches multiples of T* —
+sparse events — the pipeline can be replayed over the per-block event
+index of a recorded :class:`~repro.stochastic.trace.ExecutionTrace` in
+time proportional to the number of registrations, not the number of
+steps.
 
-It is event-for-event equivalent to N independent replays:
+:class:`MultiThresholdReplay` keeps the per-threshold pipeline state
+(candidate pool, freeze steps, regions) for every swept threshold and
+drives each state's registration stream through the batched windowed
+sweep of :mod:`repro.dbt.batchreplay`.  Threshold states never interact
+— each has its own pool, freeze map and region former — so one sweep
+per state is event-for-event equivalent to N independent replays.
 
-* threshold states never interact — each has its own pool, freeze map and
-  region former, exactly as in N separate :class:`ReplayDBT` instances;
-* within one threshold every registration event has a *distinct* trace
-  position (exactly one block executes per step, and a block's k-th and
-  j-th registrations happen at different executions), so ordering the
-  merged heap by ``(position, threshold, block)`` preserves each
-  threshold's own event order exactly.
-
-``tests/dbt/test_multireplay.py`` enforces the equivalence snapshot-for-
-snapshot, region-for-region and event-for-event.
+The replay is algebraically identical to :class:`repro.dbt.translator
+.TwoPhaseDBT` fed the same trace (``tests/dbt/test_replay_equivalence
+.py``), and the batched sweep equals the scalar heap-walk oracle
+:func:`~repro.dbt.batchreplay.run_scalar_replay`
+(``tests/dbt/test_replay_diff.py``, ``tests/dbt/test_multireplay.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
+
+import numpy as np
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import LoopForest, find_loops
 from ..obs.profile import sampled_span
 from ..obs.registry import inc
 from ..obs.spans import span
-from ..profiles.model import ProfileSnapshot, Region
-from ..stochastic.trace import ExecutionTrace, assemble_trace
+from ..profiles.model import BlockProfile, ProfileSnapshot, Region
+from ..stochastic.trace import BlockEvents, ExecutionTrace
 from .batchreplay import run_batched_replay
 from .codecache import TranslationMap, translation_map_from_replay
 from .config import DBTConfig
-from .pool import CandidatePool
 from .regions import RegionFormer
-from .replay import (frozen_counter_view, registration_positions,
-                     snapshot_from_state)
-from .replay_kernel import resolve_replay_chunk, resolve_replay_kernel
+
+
+def registration_positions(events: Mapping[int, BlockEvents],
+                           threshold: int) -> Dict[int, np.ndarray]:
+    """Per block, the trace positions of its registration events.
+
+    The k-th registration of a block is its ``(k*T)``-th execution, i.e.
+    ``steps[k*T - 1]``; one strided slice pulls all of them out of the
+    sorted step array at once, so the replay sweep indexes a
+    precomputed array instead of re-deriving positions event by event.
+    """
+    positions: Dict[int, np.ndarray] = {}
+    for block, ev in events.items():
+        regs = ev.steps[threshold - 1::threshold]
+        if len(regs):
+            positions[block] = regs
+    return positions
+
+
+def frozen_counter_view(events: Mapping[int, BlockEvents],
+                        freeze_step: Mapping[int, int],
+                        now: int) -> Callable[[int], Tuple[int, int]]:
+    """Counter view at live-step ``now`` (= trace position + 1).
+
+    A block's counters stop at its freeze step; unfrozen blocks report
+    their counts up to ``now``.  This is the optimiser's (frozen-aware)
+    view of the profile.
+    """
+    events_get = events.get
+    freeze_get = freeze_step.get
+
+    def view(block: int) -> Tuple[int, int]:
+        ev = events_get(block)
+        if ev is None:
+            return (0, 0)
+        limit = freeze_get(block)
+        upto = now if limit is None else min(now, limit)
+        use = ev.use_before(upto)
+        taken = int(ev.taken_prefix[use])
+        return (use, taken)
+
+    return view
+
+
+def snapshot_from_state(trace: ExecutionTrace,
+                        events: Mapping[int, BlockEvents],
+                        config: DBTConfig,
+                        freeze_step: Mapping[int, int],
+                        regions: List[Region],
+                        input_name: str = "ref") -> ProfileSnapshot:
+    """Distil a finished replay state into the INIP(T) snapshot."""
+    blocks: Dict[int, BlockProfile] = {}
+    profiling_ops = 0
+    freeze_get = freeze_step.get
+    for block, ev in events.items():
+        limit = freeze_get(block)
+        use = ev.use if limit is None else ev.use_before(limit)
+        taken = int(ev.taken_prefix[use])
+        if use > 0:
+            blocks[block] = BlockProfile(
+                block_id=block, use=use, taken=taken, frozen_at=limit)
+        profiling_ops += use + taken
+    snapshot = ProfileSnapshot(
+        label=f"INIP({config.threshold})",
+        input_name=input_name,
+        threshold=config.threshold,
+        blocks=blocks,
+        regions=list(regions),
+        total_steps=trace.num_steps,
+        profiling_ops=profiling_ops)
+    snapshot.validate()
+    return snapshot
 
 
 class ThresholdReplayState:
-    """One threshold's pipeline state inside a multi-threshold replay.
+    """One threshold's pipeline state inside a replay.
 
-    After :meth:`MultiThresholdReplay.run` this carries exactly what a
-    finished :class:`~repro.dbt.replay.ReplayDBT` at the same threshold
-    would (``freeze_step``/``regions``/``optimized``/
-    ``optimization_events`` plus ``trace``/``cfg``/``config``/``loops``),
-    so it slots into every consumer of a ran replay —
-    :class:`~repro.core.study.ThresholdOutcome` and
-    :func:`~repro.dbt.codecache.translation_map_from_replay` included.
+    After :meth:`MultiThresholdReplay.run` this carries the finished
+    ``freeze_step``/``regions``/``optimized``/``optimization_events``
+    plus ``trace``/``cfg``/``config``/``loops``, so it slots into every
+    consumer of a ran replay — :class:`~repro.core.study
+    .ThresholdOutcome` and :func:`~repro.dbt.codecache
+    .translation_map_from_replay` included.  The four result containers
+    are only ever mutated in place.
     """
 
     __slots__ = ("trace", "cfg", "config", "loops", "former", "freeze_step",
@@ -73,6 +143,29 @@ class ThresholdReplayState:
         self.optimization_events: List[Tuple[int, List[int]]] = []
         self._events = trace.events()
         self._tmap: Optional[TranslationMap] = None
+
+    def optimize_blocks(self, drained: List[int], now: int) -> Set[int]:
+        """Run the optimisation phase over a drained pool at live-step
+        ``now``; returns the newly frozen blocks.  This is the callback
+        the replay sweeps drive."""
+        pool_blocks = [b for b in drained if b not in self.optimized]
+        if len(pool_blocks) != len(drained):
+            inc("pool.evictions", len(drained) - len(pool_blocks))
+        if not pool_blocks:
+            return set()
+        counters = frozen_counter_view(self._events, self.freeze_step, now)
+        with sampled_span("region.form", threshold=self.config.threshold,
+                          blocks=len(pool_blocks)):
+            result = self.former.form(
+                pool_blocks, counters, self.optimized,
+                next_region_id=len(self.regions), formed_at=now)
+        self.regions.extend(result.regions)
+        for b in result.newly_optimized:
+            self.freeze_step[b] = now
+        self.optimized.update(result.newly_optimized)
+        self.optimization_events.append(
+            (now, sorted(result.newly_optimized)))
+        return result.newly_optimized
 
     def snapshot(self, input_name: str = "ref") -> ProfileSnapshot:
         """The INIP(T) profile of this threshold's finished state."""
@@ -96,22 +189,14 @@ class MultiThresholdReplay:
         thresholds: thresholds to sweep (duplicates collapse).
         base_config: DBT knobs; its threshold field is overridden per
             swept point.
-        loops: optional precomputed loop forest.
-        replay_kernel: ``"scalar"`` (merged heap, the oracle) or
-            ``"batched"`` (per-threshold windowed numpy sweeps); default
-            ``$REPRO_REPLAY_KERNEL``, else ``"batched"``.  Threshold
-            states never interact, so sweeping them one by one in the
-            batched kernel is equivalent to draining the merged heap.
-        replay_chunk: target events per batched window (default
-            ``$REPRO_REPLAY_CHUNK``, else 2048; scalar ignores it).
+        loops: optional precomputed loop forest (recomputed otherwise —
+            pass it in when replaying one CFG repeatedly).
     """
 
     def __init__(self, trace: ExecutionTrace, cfg: ControlFlowGraph,
                  thresholds: Sequence[int],
                  base_config: Optional[DBTConfig] = None,
-                 loops: Optional[LoopForest] = None,
-                 replay_kernel: Optional[str] = None,
-                 replay_chunk: Optional[int] = None):
+                 loops: Optional[LoopForest] = None):
         if trace.num_blocks != cfg.num_nodes:
             raise ValueError("trace and CFG disagree on block count")
         if not thresholds:
@@ -120,34 +205,12 @@ class MultiThresholdReplay:
         self.trace = trace
         self.cfg = cfg
         self.loops = loops or find_loops(cfg)
-        self.replay_kernel = resolve_replay_kernel(replay_kernel)
-        self.replay_chunk = resolve_replay_chunk(replay_chunk)
         self.states: Dict[int, ThresholdReplayState] = {}
         for t in thresholds:
             if t not in self.states:
                 self.states[t] = ThresholdReplayState(
                     trace, cfg, base_config.with_threshold(t), self.loops)
         self._ran = False
-
-    @classmethod
-    def from_batches(cls, batches, cfg: ControlFlowGraph,
-                     thresholds: Sequence[int],
-                     base_config: Optional[DBTConfig] = None,
-                     loops: Optional[LoopForest] = None,
-                     replay_kernel: Optional[str] = None,
-                     replay_chunk: Optional[int] = None
-                     ) -> "MultiThresholdReplay":
-        """Ingest a streaming event-batch producer (the vector kernel).
-
-        Concatenates the batches into the shared trace while updating
-        the per-block counter tables chunk by chunk (see
-        :func:`repro.stochastic.trace.assemble_trace`), so none of the
-        threshold states pays a full-trace argsort.
-        """
-        trace = assemble_trace(batches, cfg.num_nodes, build_index=True)
-        return cls(trace, cfg, thresholds, base_config=base_config,
-                   loops=loops, replay_kernel=replay_kernel,
-                   replay_chunk=replay_chunk)
 
     @property
     def thresholds(self) -> List[int]:
@@ -161,21 +224,24 @@ class MultiThresholdReplay:
             return self
         self._ran = True
         events = self.trace.events()
-        order = self.thresholds
-        states = [self.states[t] for t in order]
-        positions = [registration_positions(events, t) for t in order]
-
-        with span("replay.multi_run", thresholds=len(states),
-                  kernel=self.replay_kernel):
-            if self.replay_kernel == "batched":
-                self._run_batched(states, positions, events)
-            else:
-                self._run_scalar(states, positions, events)
-                inc("replay.kernel.scalar.runs")
+        states = [self.states[t] for t in self.thresholds]
+        windows = 0
+        swept = 0
+        with span("replay.multi_run", thresholds=len(states)):
+            for state in states:
+                stats = run_batched_replay(
+                    registration_positions(events, state.config.threshold),
+                    state.config, state.optimize_blocks,
+                    self.trace.num_blocks)
+                windows += stats.windows
+                swept += stats.events
 
         # One shared pass over the trace, however many thresholds ride
         # it: replay.runs / replay.blocks_translated count the pass,
         # not the states (see the obs catalog), matching the cost model.
+        inc("replay.kernel.batched.runs")
+        inc("replay.kernel.batched.windows", windows)
+        inc("replay.kernel.batched.events", swept)
         inc("replay.runs")
         inc("replay.blocks_translated", len(events))
         for state in states:
@@ -184,83 +250,6 @@ class MultiThresholdReplay:
             inc("replay.optimization_events",
                 len(state.optimization_events))
         return self
-
-    def _run_scalar(self, states: List[ThresholdReplayState],
-                    positions: List[Dict], events) -> None:
-        """The oracle: one merged heap over every threshold's stream."""
-        pools = [CandidatePool(s.config) for s in states]
-        # Per (threshold, block): index of the next registration to
-        # schedule once the current one has been consumed unfrozen.
-        next_k: List[Dict[int, int]] = [
-            {block: 1 for block in regs} for regs in positions]
-        heap: List[Tuple[int, int, int]] = [
-            (int(regs[0]), idx, block)
-            for idx, per_block in enumerate(positions)
-            for block, regs in per_block.items()]
-        heapq.heapify(heap)
-
-        while heap:
-            pos, idx, block = heapq.heappop(heap)
-            state = states[idx]
-            freeze_step = state.freeze_step
-            if block in freeze_step:
-                continue  # counting stopped before this occurrence
-            trigger = pools[idx].register(block)
-            if trigger:
-                drained = pools[idx].drain()
-                self._optimize_blocks(state, events, drained, now=pos + 1)
-            if block not in freeze_step:
-                regs = positions[idx][block]
-                k = next_k[idx][block]
-                if k < len(regs):
-                    next_k[idx][block] = k + 1
-                    heapq.heappush(heap, (int(regs[k]), idx, block))
-
-    def _run_batched(self, states: List[ThresholdReplayState],
-                     positions: List[Dict], events) -> None:
-        """Windowed numpy sweeps, one per threshold state.
-
-        States never interact (each has its own pool and freeze map), so
-        sweeping them independently is equivalent to the merged heap.
-        """
-        windows = 0
-        swept = 0
-        for state, per_block in zip(states, positions):
-            def optimize(drained: List[int], now: int,
-                         _state: ThresholdReplayState = state) -> Set[int]:
-                return self._optimize_blocks(_state, events, drained, now)
-
-            stats = run_batched_replay(
-                per_block, state.config, optimize,
-                self.trace.num_blocks, chunk=self.replay_chunk)
-            windows += stats.windows
-            swept += stats.events
-        inc("replay.kernel.batched.runs")
-        inc("replay.kernel.batched.windows", windows)
-        inc("replay.kernel.batched.events", swept)
-
-    def _optimize_blocks(self, state: ThresholdReplayState, events,
-                         drained: List[int], now: int) -> Set[int]:
-        """Run one state's optimisation phase over a drained pool;
-        returns the newly frozen blocks (shared by both kernels)."""
-        pool_blocks = [b for b in drained if b not in state.optimized]
-        if len(pool_blocks) != len(drained):
-            inc("pool.evictions", len(drained) - len(pool_blocks))
-        if not pool_blocks:
-            return set()
-        counters = frozen_counter_view(events, state.freeze_step, now)
-        with sampled_span("region.form", threshold=state.config.threshold,
-                          blocks=len(pool_blocks)):
-            result = state.former.form(
-                pool_blocks, counters, state.optimized,
-                next_region_id=len(state.regions), formed_at=now)
-        state.regions.extend(result.regions)
-        for b in result.newly_optimized:
-            state.freeze_step[b] = now
-        state.optimized.update(result.newly_optimized)
-        state.optimization_events.append(
-            (now, sorted(result.newly_optimized)))
-        return result.newly_optimized
 
     # -- output ---------------------------------------------------------------------
 

@@ -1,115 +1,28 @@
-"""Trace-replay DBT: derive INIP(T) for any threshold from one trace.
+"""Single-threshold trace replay: INIP(T) for one threshold.
 
-Running the live translator once per (benchmark, threshold) pair would
-re-walk the whole event stream for every threshold.  Because the DBT's
-decisions depend only on *when each block reaches multiples of T* — sparse
-events — the pipeline can be replayed over the per-block event index of a
-recorded :class:`~repro.stochastic.trace.ExecutionTrace` in time
-proportional to the number of registrations, not the number of steps.
-
-The replay is algebraically identical to :class:`repro.dbt.translator
-.TwoPhaseDBT` fed the same trace; ``tests/dbt/test_replay_equivalence.py``
-asserts snapshot-for-snapshot equality.  For sweeping many thresholds over
-one trace in a single pass, see :class:`repro.dbt.multireplay
-.MultiThresholdReplay`.
+:class:`ReplayDBT` is a :class:`~repro.dbt.multireplay.MultiThresholdReplay`
+sweeping exactly one threshold, with that threshold's finished pipeline
+state (``freeze_step``/``regions``/``optimized``/``optimization_events``)
+exposed directly on the instance.  The replay is algebraically identical
+to :class:`repro.dbt.translator.TwoPhaseDBT` fed the same trace;
+``tests/dbt/test_replay_equivalence.py`` asserts snapshot-for-snapshot
+equality.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..cfg.graph import ControlFlowGraph
-from ..cfg.loops import LoopForest, find_loops
-from ..obs.profile import sampled_span
-from ..obs.registry import inc
-from ..obs.spans import span
-from ..profiles.model import BlockProfile, ProfileSnapshot, Region
-from ..stochastic.trace import BlockEvents, ExecutionTrace, assemble_trace
-from .batchreplay import run_batched_replay
-from .codecache import TranslationMap, translation_map_from_replay
+from ..cfg.loops import LoopForest
+from ..profiles.model import ProfileSnapshot
+from ..stochastic.trace import ExecutionTrace
+from .codecache import TranslationMap
 from .config import DBTConfig
-from .pool import CandidatePool
-from .regions import RegionFormer
-from .replay_kernel import resolve_replay_chunk, resolve_replay_kernel
+from .multireplay import MultiThresholdReplay
 
 
-def registration_positions(events: Mapping[int, BlockEvents],
-                           threshold: int) -> Dict[int, np.ndarray]:
-    """Per block, the trace positions of its registration events.
-
-    The k-th registration of a block is its ``(k*T)``-th execution, i.e.
-    ``steps[k*T - 1]``; one strided slice pulls all of them out of the
-    sorted step array at once, so the replay hot loop indexes a
-    precomputed array instead of re-deriving positions event by event.
-    """
-    positions: Dict[int, np.ndarray] = {}
-    for block, ev in events.items():
-        regs = ev.steps[threshold - 1::threshold]
-        if len(regs):
-            positions[block] = regs
-    return positions
-
-
-def frozen_counter_view(events: Mapping[int, BlockEvents],
-                        freeze_step: Mapping[int, int],
-                        now: int) -> Callable[[int], Tuple[int, int]]:
-    """Counter view at live-step ``now`` (= trace position + 1).
-
-    A block's counters stop at its freeze step; unfrozen blocks report
-    their counts up to ``now``.  This is the optimiser's (frozen-aware)
-    view of the profile, shared by the single- and multi-threshold
-    replays.
-    """
-    events_get = events.get
-    freeze_get = freeze_step.get
-
-    def view(block: int) -> Tuple[int, int]:
-        ev = events_get(block)
-        if ev is None:
-            return (0, 0)
-        limit = freeze_get(block)
-        upto = now if limit is None else min(now, limit)
-        use = ev.use_before(upto)
-        taken = int(ev.taken_prefix[use])
-        return (use, taken)
-
-    return view
-
-
-def snapshot_from_state(trace: ExecutionTrace,
-                        events: Mapping[int, BlockEvents],
-                        config: DBTConfig,
-                        freeze_step: Mapping[int, int],
-                        regions: List[Region],
-                        input_name: str = "ref") -> ProfileSnapshot:
-    """Distil a finished replay state into the INIP(T) snapshot."""
-    blocks: Dict[int, BlockProfile] = {}
-    profiling_ops = 0
-    freeze_get = freeze_step.get
-    for block, ev in events.items():
-        limit = freeze_get(block)
-        use = ev.use if limit is None else ev.use_before(limit)
-        taken = int(ev.taken_prefix[use])
-        if use > 0:
-            blocks[block] = BlockProfile(
-                block_id=block, use=use, taken=taken, frozen_at=limit)
-        profiling_ops += use + taken
-    snapshot = ProfileSnapshot(
-        label=f"INIP({config.threshold})",
-        input_name=input_name,
-        threshold=config.threshold,
-        blocks=blocks,
-        regions=list(regions),
-        total_steps=trace.num_steps,
-        profiling_ops=profiling_ops)
-    snapshot.validate()
-    return snapshot
-
-
-class ReplayDBT:
+class ReplayDBT(MultiThresholdReplay):
     """Replays the two-phase pipeline over a recorded trace.
 
     Args:
@@ -118,156 +31,29 @@ class ReplayDBT:
         config: DBT configuration (the threshold lives here).
         loops: optional precomputed loop forest (recomputed otherwise —
             pass it in when sweeping thresholds over one CFG).
-        replay_kernel: ``"scalar"`` (heap walk, the oracle) or
-            ``"batched"`` (windowed numpy sweep); default
-            ``$REPRO_REPLAY_KERNEL``, else ``"batched"``.  Both kernels
-            produce identical freeze steps, regions and translation
-            maps (the differential suite pins it).
-        replay_chunk: target events per batched window (default
-            ``$REPRO_REPLAY_CHUNK``, else 2048; scalar ignores it).
     """
 
     def __init__(self, trace: ExecutionTrace, cfg: ControlFlowGraph,
-                 config: DBTConfig, loops: Optional[LoopForest] = None,
-                 replay_kernel: Optional[str] = None,
-                 replay_chunk: Optional[int] = None):
-        if trace.num_blocks != cfg.num_nodes:
-            raise ValueError("trace and CFG disagree on block count")
-        self.trace = trace
-        self.cfg = cfg
+                 config: DBTConfig, loops: Optional[LoopForest] = None):
+        super().__init__(trace, cfg, [config.threshold], base_config=config,
+                         loops=loops)
         self.config = config
-        self.loops = loops or find_loops(cfg)
-        self.replay_kernel = resolve_replay_kernel(replay_kernel)
-        self.replay_chunk = resolve_replay_chunk(replay_chunk)
-        self.former = RegionFormer(cfg, self.loops, config)
-
-        self.freeze_step: Dict[int, int] = {}
-        self.regions: List[Region] = []
-        self.optimized: Set[int] = set()
-        self.optimization_events: List[Tuple[int, List[int]]] = []
-        self._events = trace.events()
-        self._ran = False
-        self._tmap: Optional[TranslationMap] = None
-
-    @classmethod
-    def from_batches(cls, batches, cfg: ControlFlowGraph,
-                     config: DBTConfig,
-                     loops: Optional[LoopForest] = None,
-                     replay_kernel: Optional[str] = None,
-                     replay_chunk: Optional[int] = None) -> "ReplayDBT":
-        """Ingest a streaming event-batch producer (the vector kernel).
-
-        The batches are concatenated into the trace while the per-block
-        use/taken counter tables (the event index) are updated chunk by
-        chunk, so the replay never pays a full-trace argsort.  Identical
-        to constructing from the equivalent recorded trace.
-        """
-        trace = assemble_trace(batches, cfg.num_nodes, build_index=True)
-        return cls(trace, cfg, config, loops=loops,
-                   replay_kernel=replay_kernel, replay_chunk=replay_chunk)
-
-    # -- frozen-aware counter view --------------------------------------------
-
-    def _counters_at(self, now: int):
-        """Counter view at live-step ``now`` (= trace position + 1)."""
-        return frozen_counter_view(self._events, self.freeze_step, now)
-
-    # -- the replay ----------------------------------------------------------------
-
-    def run(self) -> "ReplayDBT":
-        """Process every registration event in trace order."""
-        if self._ran:
-            return self
-        self._ran = True
-        threshold = self.config.threshold
-        events = self._events
-
-        with span("replay.run", threshold=threshold,
-                  kernel=self.replay_kernel):
-            positions = registration_positions(events, threshold)
-            if self.replay_kernel == "batched":
-                stats = run_batched_replay(
-                    positions, self.config, self._optimize_blocks,
-                    self.trace.num_blocks, chunk=self.replay_chunk)
-                inc("replay.kernel.batched.runs")
-                inc("replay.kernel.batched.windows", stats.windows)
-                inc("replay.kernel.batched.events", stats.events)
-            else:
-                self._run_scalar(positions)
-                inc("replay.kernel.scalar.runs")
-        # Every block seen in the trace got a quick translation; the
-        # optimised set was retranslated into regions.
-        inc("replay.runs")
-        inc("replay.blocks_translated", len(events))
-        inc("replay.retranslations", len(self.optimized))
-        inc("replay.regions_formed", len(self.regions))
-        inc("replay.optimization_events", len(self.optimization_events))
-        return self
-
-    def _run_scalar(self, positions: Dict[int, np.ndarray]) -> None:
-        """The oracle heap walk: one Python iteration per registration."""
-        pool = CandidatePool(self.config)
-        freeze_step = self.freeze_step
-        # Heap of (trace position, block, registration ordinal k) over
-        # the precomputed per-block registration-position arrays; only
-        # each block's *next* registration is enqueued, so tiny
-        # thresholds don't flood the heap up front.
-        heap: List[Tuple[int, int, int]] = [
-            (int(regs[0]), block, 1)
-            for block, regs in positions.items()]
-        heapq.heapify(heap)
-
-        while heap:
-            pos, block, k = heapq.heappop(heap)
-            if block in freeze_step:
-                continue  # counting stopped before this occurrence
-            trigger = pool.register(block)
-            if trigger:
-                self._optimize(pool, now=pos + 1)
-            if block not in freeze_step:
-                regs = positions[block]
-                if k < len(regs):
-                    heapq.heappush(heap, (int(regs[k]), block, k + 1))
-
-    def _optimize(self, pool: CandidatePool, now: int) -> None:
-        self._optimize_blocks(pool.drain(), now)
-
-    def _optimize_blocks(self, drained: List[int], now: int) -> Set[int]:
-        """Run the optimisation phase over a drained pool; returns the
-        newly frozen blocks (shared by both replay kernels)."""
-        pool_blocks = [b for b in drained if b not in self.optimized]
-        if len(pool_blocks) != len(drained):
-            inc("pool.evictions", len(drained) - len(pool_blocks))
-        if not pool_blocks:
-            return set()
-        with sampled_span("region.form", threshold=self.config.threshold,
-                          blocks=len(pool_blocks)):
-            result = self.former.form(
-                pool_blocks, self._counters_at(now), self.optimized,
-                next_region_id=len(self.regions), formed_at=now)
-        self.regions.extend(result.regions)
-        for b in result.newly_optimized:
-            self.freeze_step[b] = now
-        self.optimized.update(result.newly_optimized)
-        self.optimization_events.append((now, sorted(result.newly_optimized)))
-        return result.newly_optimized
-
-    # -- output ---------------------------------------------------------------------
+        state = self.states[config.threshold]
+        # The state mutates these in place, so the aliases always show
+        # the replay's progress.
+        self.freeze_step = state.freeze_step
+        self.regions = state.regions
+        self.optimized = state.optimized
+        self.optimization_events = state.optimization_events
 
     def snapshot(self, input_name: str = "ref") -> ProfileSnapshot:
         """The INIP(T) profile (runs the replay on first call)."""
-        self.run()
-        return snapshot_from_state(self.trace, self._events, self.config,
-                                   self.freeze_step, self.regions,
-                                   input_name)
+        return self.state(self.config.threshold).snapshot(input_name)
 
     def translation_map(self) -> TranslationMap:
         """The code-cache summary for the perf model (cached; runs the
         replay on first call)."""
-        if self._tmap is None:
-            self.run()
-            self._tmap = translation_map_from_replay(self)
-        return self._tmap
+        return self.state(self.config.threshold).translation_map()
 
 
 def inip_from_trace(trace: ExecutionTrace, cfg: ControlFlowGraph,

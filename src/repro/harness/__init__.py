@@ -9,7 +9,7 @@ from .figures import (FIGURES, fig08_sd_bp, fig09_sd_bp_int,
 from .paper_example import (PaperExample, compute_example,
                             example_loopback_checks, figure5_pairs,
                             mcf_loop_regions)
-from .parallel import DispatchResult, JobFailure, RetryPolicy
+from .pool import DispatchResult, JobFailure, RetryPolicy
 from .results import (BenchmarkResult, PerfPoint, StudyResults,
                       average_scalar, average_series)
 from .runner import (DEFAULT_CACHE_DIR, run_full_study, study_benchmark)

@@ -1,7 +1,6 @@
 """Pluggable pool backends for the study dispatcher.
 
-The package splits the old ``repro.harness.parallel`` module along its
-natural seam:
+The package splits the study fan-out along its natural seam:
 
 * :mod:`~repro.harness.pool.worker` — the worker-side protocol (jobs,
   outputs, state isolation, the batch runner);
@@ -11,8 +10,6 @@ natural seam:
 * :mod:`~repro.harness.pool.dispatcher` — the backend-agnostic
   retry/timeout/quarantine/telemetry engine and
   :func:`dispatch_study_jobs`, the one entry point callers use.
-
-``repro.harness.parallel`` remains as a compatibility re-export.
 """
 
 from .base import PoolBackend

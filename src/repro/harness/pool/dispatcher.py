@@ -59,8 +59,6 @@ from ...obs.dispatch import JobTimeline
 from ...obs.registry import inc
 from ...obs.spans import span
 from ...perfmodel.costs import CostModel
-from ...dbt.replay_kernel import resolve_replay_kernel
-from ...stochastic.kernel import resolve_kernel
 from .. import faults
 from .base import PoolBackend
 from .inprocess import InProcessPool
@@ -648,8 +646,6 @@ def dispatch_study_jobs(
         plan: Optional[faults.FaultPlan] = None,
         on_output: Optional[Callable[[WorkerOutput], None]] = None,
         verify: bool = False,
-        kernel: Optional[str] = None,
-        replay_kernel: Optional[str] = None,
         profile: bool = False,
         pool: Optional[str] = None,
         batch: Optional[int] = None,
@@ -668,15 +664,10 @@ def dispatch_study_jobs(
             :class:`WorkerOutput` (progress logging, incremental shard
             writes).  Runs in the parent process.
         verify: run the semantic verifier inside every study job.
-        kernel: trace-recording engine shipped to every job (default
-            per :func:`repro.stochastic.kernel.resolve_kernel` — the
-            worker must not re-read the environment, or a parent-side
-            explicit choice would not survive the process hop).
-        replay_kernel: replay engine shipped to every job (default per
-            :func:`repro.dbt.replay_kernel.resolve_replay_kernel`;
-            shipped explicitly for the same reason as ``kernel``).
         profile: arm the fine-grained profiling span sites inside every
-            job (shipped explicitly for the same reason as ``kernel``).
+            job (shipped explicitly — the worker must not re-read the
+            environment, or a parent-side explicit choice would not
+            survive the process hop).
         pool: backend name from :data:`BACKENDS` (default: ``$REPRO_POOL``,
             else picked from ``jobs``/``batch`` — ``inprocess`` for one
             worker, ``batched`` when ``batch > 1``, else ``process``).
@@ -690,12 +681,10 @@ def dispatch_study_jobs(
     policy = policy or RetryPolicy()
     plan = plan if plan is not None else faults.FaultPlan.from_env()
     on_output = on_output or (lambda output: None)
-    kernel = resolve_kernel(kernel)
-    replay_kernel = resolve_replay_kernel(replay_kernel)
     pool = resolve_pool(pool)
     batch = resolve_batch(batch)
     job_tail = (tuple(thresholds), config, costs, steps_scale, include_perf,
-                verify, kernel, replay_kernel, profile)
+                verify, profile)
     workers = max(1, min(jobs, len(names)))
     if pool is None:
         if batch is not None and batch > 1:

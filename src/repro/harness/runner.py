@@ -32,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.study import run_threshold_sweep
 from ..dbt.config import DBTConfig
 from ..dbt.replay import ReplayDBT
-from ..dbt.replay_kernel import resolve_replay_kernel
 from ..obs import dispatch as obsdispatch
 from ..obs import flightrec
 from ..obs import log as obslog
@@ -43,7 +42,6 @@ from ..obs.spans import extend_trace, now_ts, span, trace_events
 from ..perfmodel.costs import DEFAULT_COSTS, CostModel
 from ..perfmodel.execution import estimate_cost
 from ..perfmodel.tables import CostTables
-from ..stochastic.kernel import resolve_kernel
 from ..workloads.spec import (BASE_THRESHOLD, SIM_THRESHOLDS,
                               SyntheticBenchmark, all_benchmarks)
 from .faults import (FaultPlan, resolve_job_timeout, resolve_retries,
@@ -138,9 +136,7 @@ def study_benchmark(benchmark: SyntheticBenchmark,
                     costs: CostModel = DEFAULT_COSTS,
                     steps_scale: float = 1.0,
                     include_perf: bool = True,
-                    verify: Optional[bool] = None,
-                    kernel: Optional[str] = None,
-                    replay_kernel: Optional[str] = None) -> BenchmarkResult:
+                    verify: Optional[bool] = None) -> BenchmarkResult:
     """Run the complete study for one benchmark and distil the numbers.
 
     Args:
@@ -154,33 +150,22 @@ def study_benchmark(benchmark: SyntheticBenchmark,
         verify: run the semantic verifier over the finished study
             (default: ``$REPRO_VERIFY``, else off).  Findings at
             warning+ severity land in the result's ``verify_findings``.
-        kernel: trace-recording engine, ``"scalar"`` or ``"vector"``
-            (default: ``$REPRO_KERNEL``, else ``"vector"``).  Results
-            are byte-identical either way, so the kernel is not part of
-            the cache fingerprint.
-        replay_kernel: replay engine, ``"scalar"`` or ``"batched"``
-            (default: ``$REPRO_REPLAY_KERNEL``, else ``"batched"``).
-            Results are byte-identical either way; like ``kernel`` it is
-            recorded in the manifest, never in a cache fingerprint.
     """
     config = config or DBTConfig()
     verify = resolve_verify(verify)
-    kernel = resolve_kernel(kernel)
-    replay_kernel = resolve_replay_kernel(replay_kernel)
     if steps_scale != 1.0:
         benchmark = benchmark.scaled(steps_scale)
 
     with span("study_benchmark", bench=benchmark.name):
-        with span("record_traces", bench=benchmark.name, kernel=kernel):
-            ref_trace = benchmark.trace("ref", kernel=kernel)
-            train_trace = benchmark.trace("train", kernel=kernel)
+        with span("record_traces", bench=benchmark.name):
+            ref_trace = benchmark.trace("ref")
+            train_trace = benchmark.trace("train")
         loops = benchmark.loop_forest()
         with span("threshold_sweep", bench=benchmark.name,
                   thresholds=len(thresholds)):
             study = run_threshold_sweep(
                 benchmark.name, benchmark.cfg, ref_trace, train_trace,
-                thresholds, base_config=config, loops=loops,
-                replay_kernel=replay_kernel)
+                thresholds, base_config=config, loops=loops)
 
         result = BenchmarkResult(
             name=benchmark.name, suite=benchmark.suite,
@@ -209,11 +194,8 @@ def study_benchmark(benchmark: SyntheticBenchmark,
                 sizes = benchmark.workload.sizes
                 perf_thresholds = sorted(set(thresholds) | {BASE_THRESHOLD})
                 # The trace-invariant half of the estimator is shared
-                # across the whole sweep on the batched replay kernel
-                # (bit-identical results); the scalar oracle keeps the
-                # historical per-call path.
-                tables = (CostTables(ref_trace, sizes, costs)
-                          if replay_kernel == "batched" else None)
+                # across the whole sweep (bit-identical results).
+                tables = CostTables(ref_trace, sizes, costs)
                 for t in perf_thresholds:
                     if t in study.outcomes:
                         # The sweep already replayed this threshold; its
@@ -222,8 +204,7 @@ def study_benchmark(benchmark: SyntheticBenchmark,
                     else:
                         replay = ReplayDBT(ref_trace, benchmark.cfg,
                                            config.with_threshold(t),
-                                           loops=loops,
-                                           replay_kernel=replay_kernel)
+                                           loops=loops)
                     breakdown = estimate_cost(ref_trace,
                                               replay.translation_map(),
                                               sizes, costs, tables=tables)
@@ -331,8 +312,6 @@ def run_full_study(names: Optional[Iterable[str]] = None,
                    retries: Optional[int] = None,
                    job_timeout: Optional[float] = None,
                    verify: Optional[bool] = None,
-                   kernel: Optional[str] = None,
-                   replay_kernel: Optional[str] = None,
                    profile: Optional[bool] = None,
                    flight_dir: Optional[str] = None,
                    pool: Optional[str] = None,
@@ -364,15 +343,6 @@ def run_full_study(names: Optional[Iterable[str]] = None,
             ``$REPRO_VERIFY``, else off); findings are attached to each
             benchmark's result and summarised in the manifest.  Verified
             runs use their own cache fingerprints.
-        kernel: trace-recording engine, ``"scalar"`` or ``"vector"``
-            (default: ``$REPRO_KERNEL``, else ``"vector"``).  Both
-            kernels produce byte-identical results, so the kernel is
-            not part of any cache fingerprint — it is recorded in the
-            run manifest instead.
-        replay_kernel: replay engine, ``"scalar"`` or ``"batched"``
-            (default: ``$REPRO_REPLAY_KERNEL``, else ``"batched"``).
-            Both engines produce byte-identical results; recorded in
-            the manifest, never fingerprinted.
         verbose: emit per-benchmark progress through the structured
             logger (auto-configured at info level if
             :func:`repro.obs.configure` has not been called yet).
@@ -399,8 +369,6 @@ def run_full_study(names: Optional[Iterable[str]] = None,
     pool = resolve_pool(pool)
     batch = resolve_batch(batch)
     verify = resolve_verify(verify)
-    kernel = resolve_kernel(kernel)
-    replay_kernel = resolve_replay_kernel(replay_kernel)
     profile = resolve_profile(profile)
     set_profiling(profile)
     policy = RetryPolicy(retries=resolve_retries(retries),
@@ -426,8 +394,8 @@ def run_full_study(names: Optional[Iterable[str]] = None,
     try:
         return _compute_study(
             names, thresholds, config, costs, steps_scale, include_perf,
-            verify, kernel, replay_kernel, cache_dir, cache_path, key,
-            confkey, jobs, policy, plan, profile, flight_dir, pool, batch)
+            verify, cache_dir, cache_path, key, confkey, jobs, policy,
+            plan, profile, flight_dir, pool, batch)
     finally:
         set_active_plan(None)
 
@@ -470,10 +438,9 @@ def _write_flight_dumps(failures, flights, flight_dir, cache_dir) -> None:
 
 
 def _compute_study(names, thresholds, config, costs, steps_scale,
-                   include_perf, verify, kernel, replay_kernel, cache_dir,
-                   cache_path, key, confkey, jobs, policy, plan,
-                   profile=False, flight_dir=None, pool=None,
-                   batch=None) -> StudyResults:
+                   include_perf, verify, cache_dir, cache_path, key,
+                   confkey, jobs, policy, plan, profile=False,
+                   flight_dir=None, pool=None, batch=None) -> StudyResults:
     """The cache-miss path of :func:`run_full_study`."""
     collected: Dict[str, BenchmarkResult] = {}
     timings: Dict[str, float] = {}
@@ -517,9 +484,8 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
             dispatch = dispatch_study_jobs(
                 pending, thresholds, config, costs, steps_scale,
                 include_perf, jobs=jobs, policy=policy, plan=plan,
-                on_output=_absorb, verify=verify, kernel=kernel,
-                replay_kernel=replay_kernel, profile=profile, pool=pool,
-                batch=batch)
+                on_output=_absorb, verify=verify, profile=profile,
+                pool=pool, batch=batch)
             dispatch_wall = time.perf_counter() - dispatch_started
             failures = dispatch.failures
             own_pid = os.getpid()
@@ -576,8 +542,6 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
                "retries": policy.retries,
                "job_timeout": policy.job_timeout,
                "verify": verify,
-               "kernel": kernel,
-               "replay_kernel": replay_kernel,
                "profile_enabled": profile,
                "profile": profile_data,
                "dispatch": dispatch_summary,

@@ -40,10 +40,6 @@ class Instrument:
 
 CATALOG: List[Instrument] = [
     # -- kernels and the interpreter reference --------------------------------
-    Instrument("kernel.scalar.runs", "counter",
-               "Trace recordings performed by the scalar walker."),
-    Instrument("kernel.scalar.steps", "counter",
-               "Simulated steps walked by the scalar kernel."),
     Instrument("kernel.vector.runs", "counter",
                "Trace recordings performed by the vector walker."),
     Instrument("kernel.vector.steps", "counter",
@@ -80,9 +76,6 @@ CATALOG: List[Instrument] = [
                "Distinct blocks quick-translated per replay pass; a "
                "multi-threshold sweep counts its shared pass once, not "
                "once per threshold state."),
-    Instrument("replay.kernel.scalar.runs", "counter",
-               "Replay passes driven by the scalar heap-walk kernel "
-               "(the oracle)."),
     Instrument("replay.kernel.batched.runs", "counter",
                "Replay passes driven by the batched windowed-sweep "
                "kernel."),

@@ -134,7 +134,6 @@ PHASE_OF_SPAN: Dict[str, str] = {
     "record_traces": "walker",
     # replay pipeline
     "replay.multi_run": "replay-walk",
-    "replay.run": "replay-walk",
     "threshold_sweep": "replay-walk",
     "region.form": "region-formation",
     "sweep.profiles": "profile-build",

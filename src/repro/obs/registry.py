@@ -85,7 +85,10 @@ class Histogram:
         frac = index - lo
         if lo + 1 >= len(values):
             return values[-1]
-        return values[lo] * (1.0 - frac) + values[lo + 1] * frac
+        # a + (b - a) * frac is exact when a == b, so a percentile never
+        # overshoots its neighbours (a * (1 - f) + b * f can, by an ulp).
+        a, b = values[lo], values[lo + 1]
+        return a + (b - a) * frac
 
     def summary(self) -> Dict[str, float]:
         """count/sum/min/max/mean plus the p50/p90/p99 percentiles."""

@@ -1,82 +1,32 @@
-"""Kernel selection for the walker hot path: scalar oracle vs vectorized.
+"""The walker entry point of the study pipeline.
 
-Two engines produce the block/branch event stream of a benchmark run:
-
-* ``"scalar"`` — :class:`~repro.stochastic.walker.CFGWalker`, one Python
-  iteration per step.  Slow but simple; retained as the oracle the
-  differential suite measures the fast path against.
-* ``"vector"`` — :class:`~repro.stochastic.vecwalker.VecWalker`, the
-  numpy event kernel (chunked generation, pre-drawn uniforms, RLE of
-  straight-line chains, vectorized loop windows).  Byte-identical output
-  by construction; the default.
-
-Selection order is explicit argument > ``$REPRO_KERNEL`` > ``"vector"``.
-The kernel is a pure implementation detail of trace recording — both
-kernels produce the same trace for the same seed — so it is *not* part
-of any cache fingerprint; it is recorded in the run manifest instead so
-cached results still say which engine produced them.
-
-:func:`record_trace` is the one entry point the workloads layer uses; it
-instruments each recording with ``kernel.*`` counters and a span.
+:func:`record_trace` records one benchmark run with the vectorized event
+kernel (:class:`~repro.stochastic.vecwalker.VecWalker`).  The scalar
+:class:`~repro.stochastic.walker.CFGWalker` produces byte-identical
+traces for the same seed; it is kept as the oracle the differential
+tests and ``benchmarks/bench_kernel.py`` measure the kernel against, and
+never runs in a study.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from ..cfg.graph import ControlFlowGraph
-from ..obs.registry import inc
 from ..obs.spans import span
 from .behavior import ProgramBehavior
 from .trace import ExecutionTrace, assemble_trace
 from .vecwalker import VecWalker
-from .walker import CFGWalker
-
-#: Environment variable overriding the default kernel.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Recognised kernel names.
-KERNELS = ("scalar", "vector")
-
-#: The kernel used when neither the argument nor the env var says.
-DEFAULT_KERNEL = "vector"
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """The effective kernel name.
-
-    Explicit ``kernel`` wins; otherwise :data:`KERNEL_ENV`; otherwise
-    :data:`DEFAULT_KERNEL`.  Anything outside :data:`KERNELS` raises.
-    """
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "").strip().lower() \
-            or DEFAULT_KERNEL
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"kernel must be one of {KERNELS}, got {kernel!r}")
-    return kernel
 
 
 def record_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,
-                 max_steps: int, seed: int = 0,
-                 kernel: Optional[str] = None) -> ExecutionTrace:
-    """Record one run of ``cfg`` under ``behavior`` with the given kernel.
+                 max_steps: int, seed: int = 0) -> ExecutionTrace:
+    """Record one run of ``cfg`` under ``behavior``.
 
-    The two kernels return byte-identical traces for the same seed (the
-    differential suite pins this).  The vector path streams its event
-    batches through :func:`~repro.stochastic.trace.assemble_trace`, so
-    the per-block event index arrives pre-built chunk by chunk and
-    ``trace.events()`` is free for the replay consumers.
+    The event batches stream through
+    :func:`~repro.stochastic.trace.assemble_trace`, so the per-block
+    event index arrives pre-built chunk by chunk and ``trace.events()``
+    is free for the replay consumers.
     """
-    kernel = resolve_kernel(kernel)
-    with span("kernel.record_trace", kernel=kernel,
-              steps=int(max_steps)):
-        if kernel == "scalar":
-            trace = CFGWalker(cfg, behavior, seed=seed).run(max_steps)
-            inc("kernel.scalar.runs")
-            inc("kernel.scalar.steps", trace.num_steps)
-            return trace
+    with span("kernel.record_trace", steps=int(max_steps)):
         walker = VecWalker(cfg, behavior, seed=seed)
         return assemble_trace(walker.run_batches(max_steps),
                               cfg.num_nodes, build_index=True)

@@ -127,7 +127,7 @@ class ExecutionTrace:
         """Install a pre-built per-block event index.
 
         The streaming producers (:class:`EventIndexBuilder` fed by the
-        vector kernel or a batched ingest) index events chunk by chunk as
+        vector kernel) index events chunk by chunk as
         the trace is generated; attaching the result here lets every
         consumer skip the full-trace argsort of :meth:`events`.  The index
         must describe exactly this trace — a cheap total-step check guards
@@ -232,13 +232,12 @@ class EventIndexBuilder:
     The whole-trace :meth:`ExecutionTrace._build_events` is one stable
     argsort over the full run; this builder performs the same grouping one
     chunk at a time (each chunk's local argsort shifted by the global step
-    offset), so the streaming vector kernel and the batched replay ingest
-    can maintain counter tables without ever materialising a second
-    full-length array.  :meth:`finalize` concatenates each block's
-    per-chunk pieces — chunks arrive in step order, so the concatenation
-    is already sorted — and produces a dict **identical** to
-    ``_build_events`` on the concatenated trace (the differential suite
-    pins this).
+    offset), so the streaming vector kernel can maintain counter tables
+    without ever materialising a second full-length array.
+    :meth:`finalize` concatenates each block's per-chunk pieces — chunks
+    arrive in step order, so the concatenation is already sorted — and
+    produces a dict **identical** to ``_build_events`` on the
+    concatenated trace (the differential suite pins this).
     """
 
     def __init__(self, num_blocks: int):

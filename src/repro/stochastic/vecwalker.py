@@ -327,7 +327,7 @@ class VecWalker:
         streaming consumers that want counter tables per chunk should
         iterate :meth:`run_batches` into an
         :class:`~repro.stochastic.trace.EventIndexBuilder` instead —
-        that is what the replay DBTs' ``from_batches`` ingest does.
+        that is what :func:`~repro.stochastic.kernel.record_trace` does.
         """
         chunks_blocks: List[np.ndarray] = []
         chunks_taken: List[np.ndarray] = []

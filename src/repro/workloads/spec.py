@@ -94,23 +94,16 @@ class SyntheticBenchmark:
                 self.workload, self.character, self.run_steps)
         return self._behaviors
 
-    def trace(self, input_name: str = "ref",
-              kernel: Optional[str] = None) -> ExecutionTrace:
-        """Record one run under the given input.
-
-        ``kernel`` picks the recording engine (``"scalar"`` |
-        ``"vector"``; default per
-        :func:`repro.stochastic.kernel.resolve_kernel`).  Both kernels
-        produce byte-identical traces for the same seed.
-        """
+    def trace(self, input_name: str = "ref") -> ExecutionTrace:
+        """Record one run under the given input."""
         ref, train = self.behaviors()
         if input_name == "ref":
             return record_trace(self.cfg, ref, self.run_steps,
-                                seed=self.seed_ref, kernel=kernel)
+                                seed=self.seed_ref)
         if input_name == "train":
             return record_trace(
                 self.cfg, train, self.train_steps,  # type: ignore[arg-type]
-                seed=self.seed_train, kernel=kernel)
+                seed=self.seed_train)
         raise ValueError(f"unknown input {input_name!r}")
 
     def scaled(self, steps_scale: float) -> "SyntheticBenchmark":

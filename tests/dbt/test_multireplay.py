@@ -1,9 +1,10 @@
 """The single-pass sweep invariant: MultiThresholdReplay == N ReplayDBTs.
 
-The merged-heap replay must be event-for-event equivalent to running an
-independent :class:`ReplayDBT` per threshold: identical snapshots,
-freeze steps, regions and optimisation-event streams — for any CFG,
-behaviour, threshold set and trigger policy.
+The multi-threshold replay must be event-for-event equivalent to an
+independent :class:`ReplayDBT` per threshold, and to the scalar
+heap-walk oracle per threshold: identical snapshots, freeze steps,
+regions and optimisation-event streams — for any CFG, behaviour,
+threshold set and trigger policy.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.cfg import ControlFlowGraph
 from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
 from repro.profiles import snapshot_to_dict
 from repro.stochastic import ProgramBehavior, steady, walk
+from tests.oracles import oracle_replay
 
 SWEEP = [1, 3, 10, 50, 200, 10_000]
 
@@ -22,14 +24,16 @@ def _assert_equivalent(cfg, trace, config, thresholds):
     multi = MultiThresholdReplay(trace, cfg, thresholds,
                                  base_config=config).run()
     for t in dict.fromkeys(thresholds):
-        single = ReplayDBT(trace, cfg, config.with_threshold(t)).run()
         state = multi.state(t)
-        assert state.freeze_step == single.freeze_step, f"T={t}"
-        assert state.optimized == single.optimized, f"T={t}"
-        assert state.optimization_events == single.optimization_events, \
-            f"T={t}"
-        assert snapshot_to_dict(state.snapshot()) == \
-            snapshot_to_dict(single.snapshot()), f"T={t}"
+        single = ReplayDBT(trace, cfg, config.with_threshold(t)).run()
+        oracle = oracle_replay(trace, cfg, config.with_threshold(t))
+        for other in (single, oracle):
+            assert state.freeze_step == other.freeze_step, f"T={t}"
+            assert state.optimized == other.optimized, f"T={t}"
+            assert state.optimization_events == \
+                other.optimization_events, f"T={t}"
+            assert snapshot_to_dict(state.snapshot()) == \
+                snapshot_to_dict(other.snapshot()), f"T={t}"
 
 
 def test_equivalence_across_thresholds(nested_cfg, nested_behavior):

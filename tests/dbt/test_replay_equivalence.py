@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
-from repro.dbt import DBTConfig, ReplayDBT, TwoPhaseDBT
+from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT, TwoPhaseDBT
 from repro.profiles import snapshot_to_dict
 from repro.stochastic import ProgramBehavior, replay_trace, steady, walk
 
@@ -81,3 +81,28 @@ def test_inip_from_trace_helper(nested_cfg, nested_trace):
                                DBTConfig(threshold=30))
     assert snapshot.threshold == 30
     snapshot.validate()
+
+
+def test_replay_dbt_is_a_one_threshold_multireplay(nested_cfg, nested_trace):
+    config = DBTConfig(threshold=30, pool_trigger_size=3)
+    replay = ReplayDBT(nested_trace, nested_cfg, config)
+    assert isinstance(replay, MultiThresholdReplay)
+    assert replay.thresholds == [30]
+    assert replay.config is config
+    state = replay.state(30)
+    # The finished-state attributes are the state's own containers, so
+    # they reflect the replay without copying.
+    assert replay.freeze_step is state.freeze_step
+    assert replay.regions is state.regions
+    assert replay.optimized is state.optimized
+    assert replay.optimization_events is state.optimization_events
+    assert replay.optimized and replay.regions
+
+
+def test_replay_dbt_outputs_come_from_its_state(nested_cfg, nested_trace):
+    replay = ReplayDBT(nested_trace, nested_cfg, DBTConfig(threshold=30))
+    tmap = replay.translation_map()  # runs the replay on first call
+    state = replay.state(30)
+    assert tmap is state.translation_map()
+    assert snapshot_to_dict(replay.snapshot()) == \
+        snapshot_to_dict(state.snapshot())

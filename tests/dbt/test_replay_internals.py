@@ -1,20 +1,20 @@
 """Direct unit coverage for the replay building blocks.
 
-The differential wall (``test_replay_diff.py``) proves the batched and
-scalar kernels agree with each other; this file pins what the shared
-primitives they are built on actually compute — registration positions,
+The differential wall (``test_replay_diff.py``) proves the batched sweep
+and the scalar oracle agree with each other; this file pins what the
+shared primitives they are built on actually compute — registration positions,
 freeze-respecting counter views, the candidate pool state machine — and
 the multi-threshold counter semantics.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
 from repro.dbt import CandidatePool, DBTConfig, MultiThresholdReplay, ReplayDBT
-from repro.dbt.replay import frozen_counter_view, registration_positions
+from repro.dbt.multireplay import (frozen_counter_view,
+                                   registration_positions)
 from repro.obs.registry import counter_value
 from repro.stochastic import ProgramBehavior, walk
 from repro.stochastic.trace import ExecutionTrace
@@ -202,8 +202,7 @@ def _study_inputs():
     return cfg, trace
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "batched"])
-def test_multireplay_counts_one_shared_pass(kernel):
+def test_multireplay_counts_one_shared_pass():
     """A multi-threshold sweep is one pass over the trace: replay.runs
     and replay.blocks_translated must match a single ReplayDBT run, not
     scale with the number of threshold states."""
@@ -213,21 +212,18 @@ def test_multireplay_counts_one_shared_pass(kernel):
 
     runs0 = counter_value("replay.runs")
     translated0 = counter_value("replay.blocks_translated")
-    MultiThresholdReplay(trace, cfg, thresholds,
-                         replay_kernel=kernel).run()
+    MultiThresholdReplay(trace, cfg, thresholds).run()
     assert counter_value("replay.runs") - runs0 == 1
     assert counter_value("replay.blocks_translated") - translated0 == \
         len(events)
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "batched"])
-def test_multireplay_per_state_counters_still_sum(kernel):
+def test_multireplay_per_state_counters_still_sum():
     """Retranslations/regions/optimization events stay per-state."""
     cfg, trace = _study_inputs()
     thresholds = [2, 10, 50]
     retr0 = counter_value("replay.retranslations")
-    multi = MultiThresholdReplay(trace, cfg, thresholds,
-                                 replay_kernel=kernel).run()
+    multi = MultiThresholdReplay(trace, cfg, thresholds).run()
     expected = sum(len(multi.state(t).optimized) for t in thresholds)
     assert counter_value("replay.retranslations") - retr0 == expected
     assert expected > 0
@@ -235,13 +231,10 @@ def test_multireplay_per_state_counters_still_sum(kernel):
 
 def test_replay_kernel_counters_attribute_the_pass():
     cfg, trace = _study_inputs()
-    s0 = counter_value("replay.kernel.scalar.runs")
-    b0 = counter_value("replay.kernel.batched.runs")
-    ReplayDBT(trace, cfg, DBTConfig(threshold=10),
-              replay_kernel="scalar").run()
-    assert counter_value("replay.kernel.scalar.runs") - s0 == 1
-    ReplayDBT(trace, cfg, DBTConfig(threshold=10),
-              replay_kernel="batched").run()
-    assert counter_value("replay.kernel.batched.runs") - b0 == 1
-    assert counter_value("replay.kernel.batched.events") > 0
-    assert counter_value("replay.kernel.batched.windows") > 0
+    runs0 = counter_value("replay.kernel.batched.runs")
+    events0 = counter_value("replay.kernel.batched.events")
+    windows0 = counter_value("replay.kernel.batched.windows")
+    ReplayDBT(trace, cfg, DBTConfig(threshold=10)).run()
+    assert counter_value("replay.kernel.batched.runs") - runs0 == 1
+    assert counter_value("replay.kernel.batched.events") - events0 > 0
+    assert counter_value("replay.kernel.batched.windows") - windows0 > 0

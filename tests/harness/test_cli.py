@@ -21,6 +21,13 @@ def test_parser_accepts_options():
     assert args.quick and args.no_perf and args.no_cache and args.verbose
 
 
+@pytest.mark.parametrize("flag", ["--kernel", "--replay-kernel"])
+def test_parser_rejects_engine_flags(flag):
+    """The walker and replay engines are not selectable at run time."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([flag, "scalar"])
+
+
 def test_figure5_only_runs_without_study(capsys):
     assert main(["--figures", "5"]) == 0
     out = capsys.readouterr().out

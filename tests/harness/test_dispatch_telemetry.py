@@ -8,7 +8,7 @@ import pytest
 from repro.dbt import DBTConfig
 from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
-from repro.harness.parallel import RetryPolicy, dispatch_study_jobs
+from repro.harness.pool import RetryPolicy, dispatch_study_jobs
 from repro.obs.dispatch import SEGMENTS, JobTimeline, summarize
 from repro.obs.spans import clear_trace, trace_events, write_trace
 from repro.perfmodel import DEFAULT_COSTS

@@ -11,7 +11,7 @@ from repro.harness import run_full_study
 from repro.harness.faults import (FAULT_SPEC_ENV, HANG_SECONDS_ENV,
                                   JOB_TIMEOUT_ENV, RETRIES_ENV,
                                   FaultPlan)
-from repro.harness.parallel import RetryPolicy, dispatch_study_jobs
+from repro.harness.pool import RetryPolicy, dispatch_study_jobs
 from repro.obs import counter_value
 from repro.perfmodel import DEFAULT_COSTS
 

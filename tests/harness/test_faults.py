@@ -22,7 +22,7 @@ from repro.harness.faults import (DEFAULT_RETRIES, FAULT_SPEC_ENV,
                                   RETRIES_ENV, FaultPlan, FaultSpecError,
                                   InjectedFault, fire, resolve_job_timeout,
                                   resolve_retries)
-from repro.harness.parallel import (RetryPolicy, dedupe_names,
+from repro.harness.pool import (RetryPolicy, dedupe_names,
                                     dispatch_study_jobs)
 from repro.harness.results import (BenchmarkResult, PerfPoint, load_shard,
                                    save_shard, shard_filename)

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.harness import run_full_study
-from repro.harness.parallel import JOBS_ENV, resolve_jobs
+from repro.harness.pool import JOBS_ENV, resolve_jobs
 from repro.harness.runner import (_config_fingerprint, _fingerprint,
                                   DEFAULT_CACHE_DIR)
 from repro.dbt import DBTConfig

@@ -6,7 +6,8 @@ seeded generator (``random.Random(seed)`` or a transplanted
 ``random`` functions or the global numpy generator would make runs
 irreproducible and break the byte-identity guarantees the golden corpus
 pins — so these tests boobytrap every global entry point and then drive
-the public API across both kernels.
+the public API under both walkers: the production vector kernel and the
+scalar ``CFGWalker`` oracle swapped in where the workloads record traces.
 """
 
 import random
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.harness import run_full_study
-from repro.stochastic import record_trace
-from repro.workloads import get_benchmark
+from repro.stochastic import CFGWalker
+from repro.workloads import get_benchmark, spec
 
 #: Module-level functions of :mod:`random` that draw from the hidden
 #: shared ``Random`` instance.
@@ -58,6 +59,16 @@ def trapped_global_rng(monkeypatch):
     monkeypatch.setattr(random, "Random", seeded_only)
 
 
+@pytest.fixture(params=["scalar", "vector"])
+def walker(request, monkeypatch):
+    """Record every workload trace with the named walker."""
+    if request.param == "scalar":
+        def scalar_record_trace(cfg, behavior, max_steps, seed=0):
+            return CFGWalker(cfg, behavior, seed=seed).run(max_steps)
+        monkeypatch.setattr(spec, "record_trace", scalar_record_trace)
+    return request.param
+
+
 def test_trap_actually_fires(trapped_global_rng):
     with pytest.raises(AssertionError, match="global RNG"):
         random.random()
@@ -67,29 +78,26 @@ def test_trap_actually_fires(trapped_global_rng):
         random.Random()
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_trace_recording_is_rng_hermetic(trapped_global_rng, kernel):
+def test_trace_recording_is_rng_hermetic(trapped_global_rng, walker):
     benchmark = get_benchmark("gzip").scaled(0.05)
-    trace = benchmark.trace("ref", kernel=kernel)
+    trace = benchmark.trace("ref")
     trace.events()  # index construction must be draw-free too
     assert trace.num_steps > 0
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_full_pipeline_is_rng_hermetic(trapped_global_rng, kernel):
+def test_full_pipeline_is_rng_hermetic(trapped_global_rng, walker):
     """Trace + replay sweep + figures prep, all under the trap."""
     results = run_full_study(names=["gzip"], thresholds=[5, 50],
                              steps_scale=0.02, include_perf=True,
-                             cache_dir=None, jobs=1, kernel=kernel)
+                             cache_dir=None, jobs=1)
     assert "gzip" in results.benchmarks
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_repeat_runs_are_bit_identical(kernel):
-    """Same seed, same kernel, fresh processes of state: identical bytes."""
+def test_repeat_runs_are_bit_identical(walker):
+    """Same seed, same walker, fresh processes of state: identical bytes."""
     benchmark = get_benchmark("mcf").scaled(0.05)
-    first = benchmark.trace("ref", kernel=kernel)
-    second = benchmark.trace("ref", kernel=kernel)
+    first = benchmark.trace("ref")
+    second = benchmark.trace("ref")
     np.testing.assert_array_equal(first.blocks, second.blocks)
     np.testing.assert_array_equal(first.taken, second.taken)
 

@@ -9,14 +9,19 @@ rests on:
    figure shows up here as a digest mismatch, forcing a deliberate
    regeneration (see EXPERIMENTS.md, "Regenerating the golden corpus")
    instead of silent drift.
-2. **Reduced-study matrix** — a small study is recomputed under every
-   combination of event kernel (scalar/vector), job count (1/2) and
-   verification mode, and every cell must serialise to identical bytes.
-   This is the fast, always-on version of the full-corpus guarantee.
+2. **Reduced-study digest** — a small study is recomputed under every
+   dispatch mode (jobs 1, jobs 2 on the process pool, jobs 2 on the
+   batched pool) and verification mode, and every cell must serialise to
+   one pinned SHA-256.  This is the fast, always-on version of the
+   full-corpus guarantee; pinning the digest (rather than only comparing
+   cells with each other) also catches a change that moves every cell
+   together.  The same study re-run with the scalar oracles swapped in
+   (``CFGWalker`` recording, ``run_scalar_replay`` replaying) must hit
+   that digest and render every figure identically too.
 3. **Full-scale gate** — with ``REPRO_GOLDEN_FULL=1`` the entire
-   full-scale study is regenerated under both kernels and its rendered
-   figures compared byte-for-byte against the committed corpus.  Slow
-   (minutes); run before regenerating the corpus or cutting a release.
+   full-scale study is regenerated and its rendered figures compared
+   byte-for-byte against the committed corpus.  Slow (minutes); run
+   before regenerating the corpus or cutting a release.
 """
 
 import hashlib
@@ -25,10 +30,14 @@ import os
 
 import pytest
 
+from repro.dbt import multireplay
+from repro.dbt.batchreplay import ReplaySweepStats, run_scalar_replay
 from repro.harness import run_full_study
 from repro.harness.figures import FIGURES
 from repro.harness.results import _result_to_dict
 from repro.harness.tables import render
+from repro.stochastic import CFGWalker
+from repro.workloads import spec
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "..", "..", "results")
@@ -72,6 +81,11 @@ GOLDEN_DIGESTS = {
 REDUCED = dict(names=["gzip", "mcf", "art"], thresholds=[5, 50, 500],
                steps_scale=0.05, include_perf=True, cache_dir=None)
 
+#: SHA-256 of ``_figure_bytes`` of the :data:`REDUCED` study.  It moves
+#: only with an intentional pipeline change, together with the corpus.
+REDUCED_DIGEST = \
+    "ceca5c012dab3f4a0d827fc1d5038f1a4020e99f6936c32f7acc2fe8db6a6075"
+
 
 def _digest(path):
     with open(path, "rb") as f:
@@ -97,70 +111,65 @@ def test_golden_corpus_digest(name):
 
 
 def test_reduced_study_matrix_byte_identical():
-    """kernel x replay kernel x dispatch mode x verify: identical bytes."""
-    modes = [dict(jobs=1),                            # inprocess backend
-             dict(jobs=2),                            # process backend
-             dict(jobs=2, pool="batched", batch=2)]   # batched backend
-    baseline = None
-    for kernel in ("scalar", "vector"):
-        for replay_kernel in ("scalar", "batched"):
-            for mode in modes:
-                # Verification is dispatch- and kernel-blind; sweeping
-                # it across every pool backend and replay kernel would
-                # slow the wall without adding coverage.
-                verifies = ((False, True)
-                            if "pool" not in mode
-                            and replay_kernel == "batched"
-                            else (False,))
-                for verify in verifies:
-                    results = run_full_study(kernel=kernel,
-                                             replay_kernel=replay_kernel,
-                                             verify=verify,
-                                             **mode, **REDUCED)
-                    got = _figure_bytes(results)
-                    label = (f"kernel={kernel} replay={replay_kernel} "
-                             f"mode={mode} verify={verify}")
-                    if baseline is None:
-                        baseline = got
-                    else:
-                        assert got == baseline, f"{label} diverged"
-                    assert results.manifest["kernel"] == kernel, label
-                    assert results.manifest["replay_kernel"] == \
-                        replay_kernel, label
-                    if "pool" in mode:
-                        assert results.manifest["pool"] == \
-                            mode["pool"], label
-                        assert results.manifest["batch_size"] == \
-                            mode["batch"], label
+    """dispatch mode x verify: every cell hashes to the pinned digest and
+    renders every figure identically."""
+    # Verification is dispatch-blind; sweeping it across the batched
+    # backend too would slow the wall without adding coverage.
+    cells = [dict(jobs=1, verify=False),              # inprocess backend
+             dict(jobs=1, verify=True),
+             dict(jobs=2, pool="process", verify=False),
+             dict(jobs=2, pool="process", verify=True),
+             dict(jobs=2, pool="batched", batch=2, verify=False)]
+    rendered = None
+    for cell in cells:
+        results = run_full_study(**cell, **REDUCED)
+        digest = hashlib.sha256(_figure_bytes(results)).hexdigest()
+        assert digest == REDUCED_DIGEST, f"{cell} drifted to {digest}"
+        if "pool" in cell:
+            assert results.manifest["pool"] == cell["pool"], cell
+        if "batch" in cell:
+            assert results.manifest["batch_size"] == cell["batch"], cell
+        figures = {fignum: render(builder(results))
+                   for fignum, builder in FIGURES.items()}
+        if rendered is None:
+            rendered = figures
+        else:
+            assert figures == rendered, f"{cell} renders differently"
 
 
-def test_reduced_figures_render_identically_across_kernels():
-    """Rendered figure text (what results/*.txt holds) is kernel-blind,
-    on both the recording and the replay axis."""
-    scalar = run_full_study(jobs=1, kernel="scalar",
-                            replay_kernel="scalar", **REDUCED)
-    vector = run_full_study(jobs=1, kernel="vector",
-                            replay_kernel="batched", **REDUCED)
+def test_reduced_figures_render_identically_across_kernels(monkeypatch):
+    """Rendered figure text (what results/*.txt holds) is engine-blind,
+    on both the recording and the replay axis: the study re-run with the
+    scalar oracles swapped in renders exactly what production renders."""
+    production = run_full_study(jobs=1, **REDUCED)
+
+    def scalar_record_trace(cfg, behavior, max_steps, seed=0):
+        return CFGWalker(cfg, behavior, seed=seed).run(max_steps)
+
+    def scalar_replay(positions, config, optimize_blocks, num_blocks):
+        run_scalar_replay(positions, config, optimize_blocks)
+        return ReplaySweepStats()
+
+    monkeypatch.setattr(spec, "record_trace", scalar_record_trace)
+    monkeypatch.setattr(multireplay, "run_batched_replay", scalar_replay)
+    oracle = run_full_study(jobs=1, **REDUCED)
+    assert hashlib.sha256(_figure_bytes(oracle)).hexdigest() == \
+        REDUCED_DIGEST
     for fignum, builder in sorted(FIGURES.items()):
-        assert render(builder(scalar)) == render(builder(vector)), \
-            f"figure {fignum} renders differently under the two kernels"
+        assert render(builder(oracle)) == render(builder(production)), \
+            f"figure {fignum} renders differently under the oracles"
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_GOLDEN_FULL"),
                     reason="full-scale regeneration; set REPRO_GOLDEN_FULL=1")
 def test_full_corpus_regenerates_identically():
-    """The committed corpus is reproducible from scratch, either kernel."""
-    scalar = run_full_study(include_perf=True, cache_dir=None,
-                            kernel="scalar", replay_kernel="scalar")
-    vector = run_full_study(include_perf=True, cache_dir=None,
-                            kernel="vector", replay_kernel="batched")
-    assert _figure_bytes(scalar) == _figure_bytes(vector)
+    """The committed corpus is reproducible from scratch."""
+    results = run_full_study(include_perf=True, cache_dir=None)
     for fignum, builder in sorted(FIGURES.items()):
         name = f"{builder.__name__}.txt"
         path = os.path.join(RESULTS_DIR, name)
-        if not os.path.exists(path):
-            continue
+        assert os.path.exists(path), f"golden rendering {name} missing"
         with open(path) as f:
             committed = f.read()
-        assert render(builder(vector)) + "\n" == committed, \
+        assert render(builder(results)) + "\n" == committed, \
             f"figure {fignum} no longer matches the committed corpus"

@@ -10,7 +10,7 @@ parallel run's histograms are indistinguishable from a serial run's.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.registry import Histogram, MetricsRegistry
@@ -44,7 +44,18 @@ def test_percentile_matches_numpy_linear_interpolation(values, p):
                                                     rel=1e-9, abs=1e-9)
 
 
+def test_percentile_between_equal_neighbours_is_exact():
+    histogram = Histogram("test")
+    for value in (0.0, 1e-05, 1e-05, 1.0):
+        histogram.observe(value)
+    # Every interpolation point between the two equal 1e-05s lands on
+    # 1e-05 exactly, not within an ulp of it.
+    for p in range(34, 67):
+        assert histogram.percentile(p) == 1e-05, p
+
+
 @given(values=value_lists)
+@example(values=[0.0, 0.0, 0.0, 1e-05, 1e-05])  # p99 once overshot max
 @settings(max_examples=100, deadline=None)
 def test_summary_percentiles_are_order_statistics(values):
     histogram = Histogram("test")

@@ -53,8 +53,8 @@ def test_grandchildren_charge_their_parent_not_the_root():
 
 def test_lanes_are_independent_and_sum():
     profile = PhaseProfile.from_events([
-        _event("replay.run", 0, 50, pid=1),
-        _event("replay.run", 0, 70, pid=2),
+        _event("replay.multi_run", 0, 50, pid=1),
+        _event("replay.multi_run", 0, 70, pid=2),
     ])
     assert profile.total_seconds == pytest.approx(120 / 1e6)
     assert len(profile.lanes) == 2
@@ -62,7 +62,7 @@ def test_lanes_are_independent_and_sum():
 
 def test_sibling_roots_in_one_lane_both_count():
     profile = PhaseProfile.from_events([
-        _event("replay.run", 0, 50),
+        _event("replay.multi_run", 0, 50),
         _event("perf_model", 60, 40),
     ])
     assert profile.total_seconds == pytest.approx(90 / 1e6)
@@ -71,11 +71,11 @@ def test_sibling_roots_in_one_lane_both_count():
 
 def test_coverage_excludes_harness_and_other():
     profile = PhaseProfile.from_events([
-        _event("full_study", 0, 100),      # harness
-        _event("replay.run", 0, 60),       # named
-        _event("test.unmapped", 60, 20),   # other
+        _event("full_study", 0, 100),        # harness
+        _event("replay.multi_run", 0, 60),   # named
+        _event("test.unmapped", 60, 20),     # other
     ])
-    # replay.run and test.unmapped nest inside full_study.
+    # replay.multi_run and test.unmapped nest inside full_study.
     assert profile.total_seconds == pytest.approx(100 / 1e6)
     assert profile.coverage == pytest.approx(0.6)
     assert phase_of("test.unmapped") == "other"
@@ -83,7 +83,7 @@ def test_coverage_excludes_harness_and_other():
 
 def test_to_dict_round_trips_through_render():
     profile = PhaseProfile.from_events([
-        _event("replay.run", 0, 60),
+        _event("replay.multi_run", 0, 60),
         _event("perf_model", 70, 40),
     ])
     data = profile.to_dict()
@@ -97,10 +97,10 @@ def test_to_dict_round_trips_through_render():
 def test_hotspots_rank_by_inclusive_time():
     profile = PhaseProfile.from_events([
         _event("perf_model", 0, 100),
-        _event("replay.run", 10, 80),
+        _event("replay.multi_run", 10, 80),
     ])
     names = [name for name, _, _ in profile.hotspots()]
-    assert names == ["perf_model", "replay.run"]
+    assert names == ["perf_model", "replay.multi_run"]
 
 
 def test_every_harness_span_name_maps_to_a_phase():

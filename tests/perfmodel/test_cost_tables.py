@@ -14,6 +14,7 @@ from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
 from repro.perfmodel import CostModel, CostTables, estimate_cost
 from repro.perfmodel.tables import _LUT_CAP
 from repro.stochastic import VecWalker, walk
+from tests.oracles import oracle_replay
 
 
 def _exact_equal(a, b, label=""):
@@ -145,20 +146,17 @@ def test_measured_estimator_accepts_tables():
 def test_multireplay_maps_price_identically_under_tables(nested_cfg,
                                                          nested_trace):
     """The full sweep shape the harness runs: one tables object, many
-    maps from a multi-threshold replay, both replay kernels."""
+    maps from a multi-threshold replay, priced against the per-call
+    estimator over the scalar oracle's maps."""
     sizes = _sizes(nested_cfg)
     thresholds = [5, 50, 500]
     tables = CostTables(nested_trace, sizes)
-    sweeps = {k: MultiThresholdReplay(nested_trace, nested_cfg, thresholds,
-                                      replay_kernel=k).run()
-              for k in ("scalar", "batched")}
+    sweep = MultiThresholdReplay(nested_trace, nested_cfg, thresholds).run()
     for t in thresholds:
-        per_kernel = []
-        for kernel, sweep in sweeps.items():
-            tmap = sweep.state(t).translation_map()
-            direct = estimate_cost(nested_trace, tmap, sizes)
-            shared = estimate_cost(nested_trace, tmap, sizes,
-                                   tables=tables)
-            _exact_equal(direct, shared, f"t={t} kernel={kernel}")
-            per_kernel.append(shared)
-        _exact_equal(*per_kernel, label=f"t={t} across kernels")
+        oracle = oracle_replay(nested_trace, nested_cfg,
+                               DBTConfig(threshold=t))
+        tmap = sweep.state(t).translation_map()
+        direct = estimate_cost(nested_trace, oracle.translation_map(),
+                               sizes)
+        shared = estimate_cost(nested_trace, tmap, sizes, tables=tables)
+        _exact_equal(direct, shared, f"t={t}")

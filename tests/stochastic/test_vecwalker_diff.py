@@ -27,6 +27,7 @@ from repro.stochastic import (CFGWalker, ProgramBehavior, VecWalker,
                               numpy_uniform_stream, phased, steady, vec_walk,
                               warmup)
 from repro.stochastic.trace import EventIndexBuilder
+from tests.oracles import oracle_replay
 
 # Chunk sizes straddling every interesting boundary: degenerate (1),
 # prime (so chunk edges never align with loop periods), and larger than
@@ -248,7 +249,7 @@ def test_vec_walk_convenience_matches_walk():
 
 
 # ---------------------------------------------------------------------------
-# Streaming consumers: batches, incremental index, replay ingest.
+# Streaming consumers: batches, incremental index, replay over streams.
 # ---------------------------------------------------------------------------
 
 def test_streamed_batches_reassemble_exactly(nested_cfg, nested_behavior):
@@ -291,31 +292,55 @@ def _replay_fingerprint(dbt):
             [(r.region_id, tuple(r.members)) for r in dbt.regions])
 
 
+def _streamed_trace(cfg, behavior, steps, seed):
+    """The production hand-off: vector batches assembled with the event
+    index built chunk by chunk."""
+    walker = VecWalker(cfg, behavior, seed=seed, chunk_steps=509)
+    return assemble_trace(walker.run_batches(steps), cfg.num_nodes,
+                          build_index=True)
+
+
 def test_replay_from_batches_equals_scalar_replay(nested_cfg,
                                                   nested_behavior):
-    """Batched ingest must reach the same regions/freezes as the scalar
-    trace fed through the classic constructor."""
+    """A replay over the streamed trace must reach the same
+    regions/freezes as the scalar oracles: the scalar walker's trace fed
+    to the scalar replay."""
     config = DBTConfig(threshold=50)
     scalar = scalar_trace(nested_cfg, nested_behavior, 60_000, seed=8)
-    expected = ReplayDBT(scalar, nested_cfg, config).run()
+    expected = oracle_replay(scalar, nested_cfg, config)
 
-    walker = VecWalker(nested_cfg, nested_behavior, seed=8, chunk_steps=509)
-    got = ReplayDBT.from_batches(walker.run_batches(60_000), nested_cfg,
-                                 config).run()
+    streamed = _streamed_trace(nested_cfg, nested_behavior, 60_000, seed=8)
+    got = ReplayDBT(streamed, nested_cfg, config).run()
     assert _replay_fingerprint(expected) == _replay_fingerprint(got)
 
 
 def test_multireplay_from_batches(nested_cfg, nested_behavior):
     thresholds = [5, 50, 500]
     scalar = scalar_trace(nested_cfg, nested_behavior, 60_000, seed=8)
-    expected = MultiThresholdReplay(scalar, nested_cfg, thresholds).run()
-
-    walker = VecWalker(nested_cfg, nested_behavior, seed=8, chunk_steps=509)
-    got = MultiThresholdReplay.from_batches(
-        walker.run_batches(60_000), nested_cfg, thresholds).run()
+    streamed = _streamed_trace(nested_cfg, nested_behavior, 60_000, seed=8)
+    got = MultiThresholdReplay(streamed, nested_cfg, thresholds).run()
     for t in thresholds:
-        assert _replay_fingerprint(expected.state(t)) == \
+        expected = oracle_replay(scalar, nested_cfg, DBTConfig(threshold=t))
+        assert _replay_fingerprint(expected) == \
             _replay_fingerprint(got.state(t))
+
+
+@pytest.mark.parametrize("name", ["gzip", "mcf", "art"])
+def test_benchmark_traces_equal_scalar_oracle(name):
+    """The study's recording path (``SyntheticBenchmark.trace`` ->
+    ``record_trace``: streamed batches, event index built chunk by
+    chunk) against the scalar walker, on both inputs of the benchmarks
+    the golden reduced study runs."""
+    from repro.workloads import get_benchmark
+
+    benchmark = get_benchmark(name).scaled(0.05)
+    ref, train = benchmark.behaviors()
+    for input_name, behavior, steps, seed in (
+            ("ref", ref, benchmark.run_steps, benchmark.seed_ref),
+            ("train", train, benchmark.train_steps, benchmark.seed_train)):
+        expected = scalar_trace(benchmark.cfg, behavior, steps, seed)
+        assert_traces_equal(expected, benchmark.trace(input_name),
+                            f"{name}:{input_name}")
 
 
 def test_assemble_trace_prebuilt_index_is_attached(nested_cfg,
