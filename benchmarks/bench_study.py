@@ -1,12 +1,11 @@
-"""Micro-benchmark: reduced full-study wall time across pool backends.
+"""Micro-benchmark: reduced full-study wall time, serial vs parallel.
 
-Times the same reduced study on every pool backend — ``jobs=1`` serial
-(in-process), the warm process pool, and the batched process pool —
-under an interleaved best-of-2 protocol (contenders alternate inside
-each rep so machine drift hits all of them equally; the per-contender
-minimum is reported).  Verifies the figure data is byte-identical
-across every backend, measures the single-pass multi-threshold replay
-against per-threshold replays, and writes everything to
+Times the same reduced study at ``jobs=1`` (inline) and ``jobs=N`` (the
+process pool) under an interleaved best-of-2 protocol (the contenders
+alternate inside each rep so machine drift hits both equally; the
+per-contender minimum is reported).  Verifies the figure data is
+byte-identical across the two, measures the single-pass multi-threshold
+replay against per-threshold replays, and writes everything to
 ``BENCH_study.json`` so CI can track the perf trajectory PR-over-PR::
 
     PYTHONPATH=src python benchmarks/bench_study.py --out BENCH_study.json
@@ -66,24 +65,21 @@ def _dispatch_stats(manifest) -> dict:
     }
 
 
-def bench_backends(jobs: int, batch: int, scale: float):
-    """Interleaved best-of-``BENCH_REPS`` across the three backends.
+def bench_dispatch(jobs: int, scale: float):
+    """Interleaved best-of-``BENCH_REPS``: serial vs ``jobs`` workers.
 
-    Returns ``(best_seconds, last_results)`` dicts keyed by contender
-    label; the results kept are from each contender's *fastest* rep, so
-    the dispatch stats describe the run whose time is reported.
+    Returns ``(best_seconds, kept_results)`` dicts keyed by the dispatch
+    path (``inprocess``/``process``); the results kept are from each
+    contender's *fastest* rep, so the dispatch stats describe the run
+    whose time is reported.
     """
-    contenders = [
-        ("serial", dict(jobs=1)),
-        ("process", dict(jobs=jobs, pool="process")),
-        ("batched", dict(jobs=jobs, pool="batched", batch=batch)),
-    ]
+    contenders = [("inprocess", 1), ("process", jobs)]
     best: dict = {}
     kept: dict = {}
     for rep in range(BENCH_REPS):
-        for label, kwargs in contenders:
-            seconds, results = _run_study(scale, **kwargs)
-            print(f"  rep {rep + 1}/{BENCH_REPS} {label:8s} "
+        for label, workers in contenders:
+            seconds, results = _run_study(scale, jobs=workers)
+            print(f"  rep {rep + 1}/{BENCH_REPS} {label:9s} "
                   f"{seconds:8.2f}s")
             if label not in best or seconds < best[label]:
                 best[label] = seconds
@@ -120,30 +116,25 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_study.json",
                         help="output JSON path")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker count (default: all CPUs)")
-    parser.add_argument("--batch", type=int, default=None,
-                        help="batch size for the batched backend "
-                             "(default: half the benchmarks per worker)")
+                        help="parallel worker count (default: all CPUs; "
+                             "at least 2, so the pool is exercised)")
     parser.add_argument("--scale", type=float, default=BENCH_SCALE,
                         help="steps_scale of the reduced study")
     args = parser.parse_args(argv)
 
     cpu_count = os.cpu_count() or 1
-    jobs = args.jobs or cpu_count
-    workers = max(1, min(jobs, len(BENCH_NAMES)))
-    batch = args.batch or max(1, -(-len(BENCH_NAMES) // (workers * 2)))
+    jobs = max(2, args.jobs or cpu_count)
     flags = []
     print(f"reduced study: {len(BENCH_NAMES)} benchmarks x "
           f"{len(BENCH_THRESHOLDS)} thresholds at scale {args.scale}, "
           f"interleaved best-of-{BENCH_REPS}")
 
-    best, kept = bench_backends(jobs, batch, args.scale)
-    serial_seconds = best["serial"]
+    best, kept = bench_dispatch(jobs, args.scale)
+    serial_seconds = best["inprocess"]
     parallel_seconds = best["process"]
 
-    reference = _strip_manifest_bytes(kept["serial"])
-    identical = all(_strip_manifest_bytes(kept[label]) == reference
-                    for label in ("process", "batched"))
+    identical = (_strip_manifest_bytes(kept["inprocess"]) ==
+                 _strip_manifest_bytes(kept["process"]))
     if cpu_count >= 2:
         speedup = (round(serial_seconds / parallel_seconds, 3)
                    if parallel_seconds else 0.0)
@@ -158,21 +149,12 @@ def main(argv=None) -> int:
           f"figure data identical: {identical}")
 
     backends = {}
-    for label in ("serial", "process", "batched"):
+    for label in ("inprocess", "process"):
         manifest = kept[label].manifest or {}
-        backends[manifest.get("pool") or label] = dict(
-            jobs=manifest.get("jobs"),
-            batch_size=manifest.get("batch_size"),
-            seconds=round(best[label], 3),
-            **_dispatch_stats(manifest))
-    per_job = backends.get("process", {}).get("overhead_ratio") or 0.0
-    batched = backends.get("batched", {}).get("overhead_ratio") or 0.0
-    if batched >= per_job > 0:
-        # Batching exists to amortize per-dispatch overhead; if it did
-        # not, that is a perf finding worth a flag (but the numbers are
-        # noisy enough on small runs that it should not fail the build).
-        flags.append("batching_not_amortized")
-    print("backend overhead/execute: " +
+        backends[label] = dict(jobs=manifest.get("jobs"),
+                               seconds=round(best[label], 3),
+                               **_dispatch_stats(manifest))
+    print("overhead/execute: " +
           ", ".join(f"{name} {stats['overhead_ratio']}"
                     for name, stats in sorted(backends.items())))
 
@@ -189,14 +171,12 @@ def main(argv=None) -> int:
         "protocol": f"interleaved best-of-{BENCH_REPS}",
         "cpu_count": cpu_count,
         "jobs": jobs,
-        "pool": process_manifest.get("pool") or "process",
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "speedup": speedup,
         "figure_data_identical": identical,
         "dispatch": {
-            "schema": 2,
-            "pool": process_manifest.get("pool") or "process",
+            "schema": 3,
             **_dispatch_stats(process_manifest),
         },
         "backends": backends,

@@ -102,17 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "fan-out (default: $REPRO_JOBS, else all "
                              "CPUs; 1 = serial; results are identical "
                              "for any N)")
-    parser.add_argument("--pool", default=None,
-                        choices=["inprocess", "process", "batched"],
-                        help="pool backend for the fan-out (default: "
-                             "$REPRO_POOL, else picked from --jobs/"
-                             "--batch; results are identical for every "
-                             "backend)")
-    parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="benchmarks per dispatch unit on the "
-                             "batched backend (default: $REPRO_BATCH, "
-                             "else sized automatically; needs "
-                             "--pool batched)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="per-benchmark retry budget for crashed or "
                              "failing jobs (default: $REPRO_RETRIES, "
@@ -223,9 +212,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         job_timeout=args.job_timeout,
         verify=args.verify,
         profile=args.profile,
-        flight_dir=args.flight_dir,
-        pool=args.pool,
-        batch=args.batch)
+        flight_dir=args.flight_dir)
 
     for number in wanted:
         builder = FIGURES.get(number)

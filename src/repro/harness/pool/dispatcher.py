@@ -1,47 +1,42 @@
-"""The backend-agnostic dispatch engine: retries, timeouts, telemetry.
+"""The dispatch engine: retries, timeouts, quarantine, telemetry.
 
 ``run_full_study`` is embarrassingly parallel across benchmarks: each
 :func:`~repro.harness.runner.study_benchmark` call depends only on its
 benchmark name and the run configuration.  This module fans those jobs
-out over a pluggable :class:`~.base.PoolBackend` — and keeps the run
-alive when workers misbehave:
+out over worker processes — and keeps the run alive when workers
+misbehave:
 
 * a worker **crash** (segfault, OOM kill, ``os._exit``) breaks the whole
   pool; the dispatcher rebuilds it and resubmits only the jobs that were
   in flight, charging each one attempt of its retry budget (the culprit
   cannot be told apart from its pool-mates — all of them were running in
   the dead executor);
-* a **hung** batch (``job_timeout`` exceeded) is quarantined immediately
+* a **hung** job (``job_timeout`` exceeded) is quarantined immediately
   — retrying a deterministic hang just burns another timeout window —
   and the pool is torn down and rebuilt to reclaim the stuck worker.
   Innocent jobs caught in the teardown are resubmitted without touching
   their budget;
 * a job that **raises** is retried with exponential backoff up to
   ``retries`` times;
-* jobs that exhaust their budget on a process backend fall back to one
+* jobs that exhaust their budget on the process pool fall back to one
   **in-process serial** attempt (pool pathologies — fork state,
   pickling, memory pressure — often vanish in-process) before being
-  quarantined for good.  On the in-process backend the attempts *were*
-  inline, so exhaustion quarantines directly.
+  quarantined for good.  Inline, the attempts already ran in-process,
+  so exhaustion quarantines directly.
 
 Quarantined benchmarks land in :class:`DispatchResult.failures`; the
 study completes without them instead of aborting.  Shard writes happen
 in the parent as each job finishes, so nothing a worker does — or how it
 dies — can corrupt the cache.
 
-The unit of dispatch is a *batch* of jobs (one, for the ``inprocess``
-and ``process`` backends).  Batching coarsens transport, not failure
-semantics: each member succeeds or fails individually
-(:class:`~.worker.BatchItemFailure`), retries are per benchmark, and
-every member gets its own :class:`~repro.obs.dispatch.JobTimeline`
-stamped with the backend name and batch size.  Figure data is
-byte-identical across every backend × jobs × batch combination — the
-non-negotiable invariant the equivalence suite enforces.
+The job count alone picks where jobs run: one worker runs them inline,
+more than one runs one job per future on a
+:class:`~.process.ProcessPool`.  Figure data is byte-identical for every
+job count — the non-negotiable invariant the equivalence suite enforces.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import time
@@ -50,8 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Type)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...dbt.config import DBTConfig
 from ...obs import log as obslog
@@ -60,26 +54,11 @@ from ...obs.registry import inc
 from ...obs.spans import span
 from ...perfmodel.costs import CostModel
 from .. import faults
-from .base import PoolBackend
-from .inprocess import InProcessPool
-from .process import BatchedProcessPool, ProcessPool
-from .worker import (BatchItemFailure, WorkerOutput, _error_text, _flight_of,
-                     run_job_inprocess)
+from .process import ProcessPool
+from .worker import WorkerJobError, WorkerOutput, run_job_inprocess
 
 #: Environment variable overriding the default worker count.
 JOBS_ENV = "REPRO_JOBS"
-#: Environment variable selecting the pool backend by name.
-POOL_ENV = "REPRO_POOL"
-#: Environment variable overriding the batched backend's batch size.
-BATCH_ENV = "REPRO_BATCH"
-
-#: The backend registry: ``--pool`` names to implementations.
-BACKENDS: Dict[str, Type[PoolBackend]] = {
-    InProcessPool.name: InProcessPool,
-    ProcessPool.name: ProcessPool,
-    BatchedProcessPool.name: BatchedProcessPool,
-}
-
 _log = obslog.get_logger("repro.harness.pool.dispatcher")
 
 
@@ -107,39 +86,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_pool(pool: Optional[str] = None) -> Optional[str]:
-    """The requested pool backend name, validated; ``None`` = pick one.
-
-    Explicit ``pool`` wins; otherwise the :data:`POOL_ENV` environment
-    variable; otherwise ``None`` lets the dispatcher choose from the
-    worker count and batch size.
-    """
-    if pool is None:
-        pool = os.environ.get(POOL_ENV)
-        if pool is None:
-            return None
-    if pool not in BACKENDS:
-        raise ValueError(f"pool backend must be one of "
-                         f"{'/'.join(sorted(BACKENDS))}, got {pool!r}")
-    return pool
-
-
-def resolve_batch(batch: Optional[int] = None) -> Optional[int]:
-    """The requested batch size, validated; ``None`` = backend default."""
-    if batch is None:
-        env = os.environ.get(BATCH_ENV)
-        if env is None:
-            return None
-        try:
-            batch = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{BATCH_ENV} must be an integer, got {env!r}") from None
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    return batch
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How the dispatcher treats failing jobs.
@@ -147,10 +93,9 @@ class RetryPolicy:
     Attributes:
         retries: extra attempts granted per benchmark after its first
             failure (``0`` = fail straight to the fallback attempt).
-        job_timeout: seconds before an in-flight batch is declared hung
-            and quarantined (``None`` = unlimited; only enforced on
-            backends with ``supports_timeout`` — inline execution
-            cannot be interrupted).
+        job_timeout: seconds before an in-flight job is declared hung
+            and quarantined (``None`` = unlimited; only enforced on the
+            process pool — inline execution cannot be interrupted).
         backoff: base delay before retry ``k`` of a job, growing as
             ``backoff * 2**(k-1)`` up to ``backoff_cap``.
     """
@@ -188,9 +133,6 @@ class DispatchResult:
     records: List[JobTimeline] = field(default_factory=list)
     #: Worker flight rings shipped with failures, keyed by benchmark.
     flights: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
-    #: The backend that executed the run and its dispatch batch size.
-    backend: str = ""
-    batch_size: int = 1
 
 
 def dedupe_names(names: Sequence[str]) -> List[str]:
@@ -213,7 +155,7 @@ class _JobState:
 
     __slots__ = ("name", "attempts", "not_before", "submitted_at",
                  "inject", "submitted_pc", "serialize_seconds",
-                 "payload_bytes", "batch_size")
+                 "payload_bytes")
 
     def __init__(self, name: str):
         self.name = name
@@ -224,48 +166,54 @@ class _JobState:
         self.submitted_pc = 0.0    # perf_counter at the live submission
         self.serialize_seconds = 0.0  # payload pickling time (live attempt)
         self.payload_bytes = 0     # payload size (live attempt)
-        self.batch_size = 1        # members in the live dispatch unit
 
 
 class Dispatcher:
-    """The retry/rebuild/quarantine engine above every pool backend."""
+    """The retry/rebuild/quarantine engine.
+
+    ``pool`` is ``None`` for inline execution (one worker) or the
+    :class:`~.process.ProcessPool` the jobs fan out over.
+    """
 
     def __init__(self, names: Sequence[str], job_tail: Tuple,
-                 backend: PoolBackend, batch: int, policy: RetryPolicy,
+                 pool: Optional[ProcessPool], policy: RetryPolicy,
                  plan: faults.FaultPlan,
                  on_output: Callable[[WorkerOutput], None]):
         self.job_tail = job_tail
-        self.backend = backend
-        self.batch = batch
+        self.pool = pool
+        self.workers = pool.workers if pool is not None else 1
         self.policy = policy
         self.plan = plan
         self.on_output = on_output
         self.queue: deque = deque(_JobState(n) for n in names)
-        self.inflight: Dict[Future, List[_JobState]] = {}
-        self.result = DispatchResult(backend=backend.name, batch_size=batch)
+        self.inflight: Dict[Future, _JobState] = {}
+        self.result = DispatchResult()
         self.fallback: List[Tuple[_JobState, str, str]] = []
 
     # -- pool lifecycle ----------------------------------------------------
 
     def _rebuild_pool(self) -> None:
         inc("faults.pool_rebuild")
-        with span("pool_rebuild", workers=self.backend.workers):
-            self.backend.start()
+        with span("pool_rebuild", workers=self.workers):
+            self.pool.start()
 
     # -- attempt accounting ------------------------------------------------
 
-    def _submit_batch(self, states: List[_JobState]) -> None:
-        for state in states:
-            state.inject = self.plan.draw(state.name)
-            state.batch_size = len(states)
-        jobs = [(s.name,) + self.job_tail + (s.inject,) for s in states]
-        if self.backend.is_inline:
-            for state in states:
-                state.serialize_seconds = 0.0  # inline: nothing is pickled
-                state.payload_bytes = 0
-                state.submitted_at = time.monotonic()
-                state.submitted_pc = 0.0
-            self.inflight[self.backend.submit(jobs)] = states
+    def _job(self, state: _JobState) -> Tuple:
+        return (state.name,) + self.job_tail + (state.inject,)
+
+    def _submit(self, state: _JobState) -> None:
+        state.inject = self.plan.draw(state.name)
+        job = self._job(state)
+        if self.pool is None:
+            # Inline: nothing is pickled or queued, so the payload and
+            # submission fields keep their zero defaults.
+            try:
+                output = run_job_inprocess(job)
+            except Exception as exc:
+                self._fail(state, exc)
+            else:
+                self._succeed(state, output)
             return
         # Measure the payload's pickling cost and size here (the
         # executor pickles again on its feeder thread, where it cannot
@@ -274,36 +222,31 @@ class Dispatcher:
         # to the feeder thread would surface as an opaque pool break.
         t0 = time.perf_counter()
         try:
-            payload = pickle.dumps(jobs)
+            payload = pickle.dumps(job)
         except Exception as exc:
-            elapsed = time.perf_counter() - t0
-            error = (f"job payload failed to pickle: "
-                     f"{exc.__class__.__name__}: {exc}")
-            for state in states:
-                self._refund_inject(state)
-                state.serialize_seconds = elapsed / len(states)
-                state.payload_bytes = 0
-                state.submitted_pc = 0.0  # never submitted: no execute time
-                self._record_attempt(state, outcome="error")
-                self._charge_failure(state, "error", error)
+            self._refund_inject(state)
+            state.serialize_seconds = time.perf_counter() - t0
+            state.payload_bytes = 0
+            state.submitted_pc = 0.0  # never submitted: no execute time
+            self._record_attempt(state, outcome="error")
+            self._charge_failure(state, "error",
+                                 f"job payload failed to pickle: "
+                                 f"{exc.__class__.__name__}: {exc}")
             return
-        elapsed = time.perf_counter() - t0
-        for state in states:
-            state.serialize_seconds = elapsed / len(states)
-            state.payload_bytes = len(payload) // len(states)
-            state.submitted_at = time.monotonic()
-            state.submitted_pc = time.perf_counter()
+        state.serialize_seconds = time.perf_counter() - t0
+        state.payload_bytes = len(payload)
+        state.submitted_at = time.monotonic()
+        state.submitted_pc = time.perf_counter()
         try:
-            future = self.backend.submit(jobs)
+            future = self.pool.submit(job)
         except BrokenProcessPool as exc:
             # The pool died between completions; everything in flight is
-            # lost, this batch never ran and is requeued for free.
-            for state in states:
-                self._refund_inject(state)
-            self.queue.extendleft(reversed(states))
+            # lost, this job never ran and is requeued for free.
+            self._refund_inject(state)
+            self.queue.appendleft(state)
             self._handle_pool_break(exc)
             return
-        self.inflight[future] = states
+        self.inflight[future] = state
 
     def _refund_inject(self, state: _JobState) -> None:
         """Hand an unfired fault token back to the plan (see refund)."""
@@ -328,7 +271,7 @@ class Dispatcher:
                          bench=state.name, reason=reason,
                          attempts=state.attempts, error=error)
             self._requeue(state, charged=True)
-        elif self.backend.is_inline:
+        elif self.pool is None:
             # The attempts already ran in-process: a fallback would just
             # repeat the last one.  Quarantine directly.
             self._quarantine(state, reason, state.attempts, error)
@@ -348,9 +291,9 @@ class Dispatcher:
 
     def _handle_pool_break(self, exc: BaseException) -> None:
         """The pool died: rebuild it, resubmit exactly the lost jobs."""
-        lost = [s for states in self.inflight.values() for s in states]
+        lost = list(self.inflight.values())
         self.inflight.clear()
-        self.backend.kill()
+        self.pool.kill()
         _log.warning("process pool broke, rebuilding",
                      lost=[s.name for s in lost],
                      error=f"{exc.__class__.__name__}: {exc}")
@@ -371,53 +314,63 @@ class Dispatcher:
 
     # -- completion handling -----------------------------------------------
 
-    def _absorb(self, state: _JobState, output: WorkerOutput) -> None:
+    def _succeed(self, state: _JobState, output: WorkerOutput,
+                 mode: Optional[str] = None) -> None:
+        state.inject = None
+        self._record_attempt(state, outcome="ok", output=output,
+                             received=time.perf_counter(), mode=mode)
         self.result.outputs[state.name] = output
         self.on_output(output)
+
+    def _fail(self, state: _JobState, exc: Exception) -> None:
+        """An attempt raised: book it, then retry or fall back."""
+        error = self._settle_error(state, exc)
+        self._charge_failure(state, "error", error.message)
+
+    def _settle_error(self, state: _JobState, exc: Exception,
+                      mode: Optional[str] = None) -> WorkerJobError:
+        """Book a failed attempt: its fault token, flight ring, timeline."""
+        error = exc if isinstance(exc, WorkerJobError) else \
+            WorkerJobError(f"{exc.__class__.__name__}: {exc}")
+        if state.inject is not None and error.fault_fired != state.inject:
+            # The attempt died of an unrelated cause before its drawn
+            # fault could fire: the token goes back so the injection
+            # schedule stays deterministic.
+            self._refund_inject(state)
+        state.inject = None
+        if error.flight is not None:
+            self.result.flights[state.name] = error.flight
+        self._record_attempt(state, outcome="error", mode=mode,
+                             failure=error)
+        return error
 
     def _record_attempt(self, state: _JobState, outcome: str,
                         output: Optional[WorkerOutput] = None,
                         received: Optional[float] = None,
                         mode: Optional[str] = None,
-                        queue_anchor: Optional[float] = None,
-                        transfer_override: Optional[float] = None,
-                        failure: Optional[BatchItemFailure] = None
+                        failure: Optional[WorkerJobError] = None
                         ) -> JobTimeline:
-        """Append this attempt's dispatch timeline to the result.
-
-        ``queue_anchor`` re-bases a later batch member's queue wait on
-        its predecessor's finish time (members run serially in the
-        worker; blaming the whole wait on the executor queue would
-        double-count).  ``transfer_override`` spreads the batch's one
-        result transfer evenly over its members.  With a batch of one,
-        both default to the single-job arithmetic.
-        """
+        """Append this attempt's dispatch timeline to the result."""
         if mode is None:
-            mode = "inline" if self.backend.is_inline else "pool"
+            mode = "inline" if self.pool is None else "pool"
         record = JobTimeline(
             bench=state.name, mode=mode, attempt=state.attempts + 1,
             payload_bytes=state.payload_bytes,
-            serialize_seconds=state.serialize_seconds, outcome=outcome,
-            backend=self.backend.name, batch_size=state.batch_size)
+            serialize_seconds=state.serialize_seconds, outcome=outcome)
         if output is not None and received is not None:
             record.worker_pid = output.pid
             record.execute_seconds = output.seconds
             if mode != "inline" and state.submitted_pc:
-                anchor = (queue_anchor if queue_anchor is not None
-                          else state.submitted_pc)
-                queue = max(0.0, output.started_at - anchor)
+                queue = max(0.0, output.started_at - state.submitted_pc)
                 record.queue_seconds = queue
-                if queue_anchor is None and output.spawned_at is not None:
+                if output.spawned_at is not None:
                     # The slice of queue wait spent before the worker had
                     # even finished initialising: spin-up + import cost.
                     record.spawn_seconds = min(queue, max(
                         0.0, output.spawned_at - state.submitted_pc))
-            record.transfer_seconds = (
-                transfer_override if transfer_override is not None
-                else max(0.0, received - output.finished_at))
-        elif failure is not None:
-            # The worker caught the failure in place and shipped its
-            # timing: charge the member only for its own slice.
+            record.transfer_seconds = max(0.0, received - output.finished_at)
+        elif failure is not None and failure.finished_at:
+            # The job caught its own failure and shipped its timing.
             record.worker_pid = failure.pid or None
             record.execute_seconds = max(
                 0.0, failure.finished_at - failure.started_at)
@@ -429,84 +382,42 @@ class Dispatcher:
         self.result.records.append(record)
         return record
 
-    def _process_future(self, future: Future,
-                        states: List[_JobState]) -> bool:
-        """Fold one finished batch in; True if the pool broke."""
+    def _process_future(self, future: Future, state: _JobState) -> bool:
+        """Fold one finished job in; True if the pool broke."""
         try:
-            items = future.result()
+            output = future.result()
         except BrokenProcessPool as exc:
-            # ``states`` is still in ``self.inflight`` — the break
+            # ``state`` is still in ``self.inflight`` — the break
             # handler charges it together with the rest of the lost jobs.
             self._handle_pool_break(exc)
             return True
-        except Exception as exc:  # the batch runner itself raised
-            self.inflight.pop(future, None)
-            for state in states:
-                flight = _flight_of(exc)
-                if flight is not None:
-                    self.result.flights[state.name] = flight
-                self._record_attempt(state, outcome="error")
-                self._charge_failure(state, "error", _error_text(exc))
+        except Exception as exc:
+            del self.inflight[future]
+            self._fail(state, exc)
             return False
-        self.inflight.pop(future, None)
-        received = time.perf_counter()
-        ends = [item.finished_at for item in items if item.finished_at]
-        transfer = (max(0.0, received - max(ends)) / len(items)
-                    if ends else None)
-        prev_end: Optional[float] = None
-        for state, item in zip(states, items):
-            if isinstance(item, BatchItemFailure):
-                if item.flight is not None:
-                    self.result.flights[state.name] = item.flight
-                if state.inject is not None and \
-                        item.fault_fired != state.inject:
-                    # The attempt died of an unrelated cause before its
-                    # drawn fault could fire: the token goes back so the
-                    # injection schedule stays deterministic.
-                    self._refund_inject(state)
-                else:
-                    state.inject = None
-                self._record_attempt(state, outcome="error", failure=item)
-                self._charge_failure(state, "error", item.message)
-            else:
-                state.inject = None
-                self._record_attempt(state, outcome="ok", output=item,
-                                     received=received,
-                                     queue_anchor=prev_end,
-                                     transfer_override=transfer)
-                self._absorb(state, item)
-            if item.finished_at:
-                prev_end = item.finished_at
+        del self.inflight[future]
+        self._succeed(state, output)
         return False
 
     def _cull_timeouts(self) -> None:
-        """Quarantine batches past their deadline; rescue their pool-mates.
-
-        The timeout is batch-granular: members run serially inside one
-        worker, so the parent cannot tell which member is hung — and any
-        completed members' results died with the teardown anyway.
-        """
+        """Quarantine jobs past their deadline; rescue their pool-mates."""
         now = time.monotonic()
-        expired: List[Tuple[Future, List[_JobState]]] = []
-        for future, states in list(self.inflight.items()):
+        expired: List[_JobState] = []
+        for future, state in list(self.inflight.items()):
             if future.done():
                 # Finished between the wait and the deadline check —
                 # harvest it normally rather than blaming it.
-                if self._process_future(future, states):
+                if self._process_future(future, state):
                     return
-            elif now - states[0].submitted_at >= self.policy.job_timeout:
-                expired.append((future, states))
+            elif now - state.submitted_at >= self.policy.job_timeout:
+                expired.append(state)
         if not expired:
             return
-        expired_futures = [f for f, _ in expired]
-        expired_states = [s for _, ss in expired for s in ss]
-        inc("faults.timeout", len(expired_states))
-        survivors = [s for f, ss in self.inflight.items()
-                     if not any(f is ef for ef in expired_futures)
-                     for s in ss]
+        inc("faults.timeout", len(expired))
+        survivors = [s for s in self.inflight.values() if s not in expired]
         self.inflight.clear()
-        self.backend.kill()
-        for state in expired_states:
+        self.pool.kill()
+        for state in expired:
             self._record_attempt(state, outcome="timeout")
             self._quarantine(
                 state, "timeout", state.attempts + 1,
@@ -521,75 +432,70 @@ class Dispatcher:
 
     # -- the dispatch loop -------------------------------------------------
 
-    def _take_eligible(self, now: float) -> List[_JobState]:
-        """Up to one batch of queued states clear of their backoff gate."""
-        states: List[_JobState] = []
-        while len(states) < self.batch:
-            index = next((i for i, s in enumerate(self.queue)
-                          if s.not_before <= now), None)
-            if index is None:
-                break
-            states.append(self.queue[index])
-            del self.queue[index]
-        return states
+    def _take_eligible(self, now: float) -> Optional[_JobState]:
+        """The first queued state clear of its backoff gate, if any."""
+        for index, state in enumerate(self.queue):
+            if state.not_before <= now:
+                del self.queue[index]
+                return state
+        return None
 
     def _wait_timeout(self, now: float) -> Optional[float]:
         deadlines: List[float] = []
-        if self.policy.job_timeout is not None and \
-                self.backend.supports_timeout:
-            deadlines.extend(
-                states[0].submitted_at + self.policy.job_timeout
-                for states in self.inflight.values())
-        if self.queue and len(self.inflight) < self.backend.workers:
+        if self.policy.job_timeout is not None:
+            deadlines.extend(state.submitted_at + self.policy.job_timeout
+                             for state in self.inflight.values())
+        if self.queue and len(self.inflight) < self.workers:
             deadlines.extend(s.not_before for s in self.queue)
         if not deadlines:
             return None
         return max(0.0, min(deadlines) - now) + 0.01
 
     def run(self) -> DispatchResult:
-        self.backend.start()
+        if self.pool is not None:
+            self.pool.start()
         try:
-            while self.queue or self.inflight:
-                now = time.monotonic()
-                # Top up in-flight batches (skipping backoff-gated jobs)
-                # up to the worker count, so every submitted batch is
-                # running and submission time approximates start time.
-                while len(self.inflight) < self.backend.workers:
-                    states = self._take_eligible(now)
-                    if not states:
-                        break
-                    self._submit_batch(states)
-                if not self.inflight:
-                    if not self.queue:
-                        break
-                    # Everything left is waiting out its backoff.
-                    time.sleep(max(0.0, min(s.not_before
-                                            for s in self.queue) - now))
-                    continue
-                if self.backend.is_inline:
-                    # Inline futures arrive already resolved: drain them.
-                    for future, states in list(self.inflight.items()):
-                        self._process_future(future, states)
-                    continue
-                with span("dispatch.wait", inflight=len(self.inflight)):
-                    done, _ = futures_wait(set(self.inflight),
-                                           timeout=self._wait_timeout(now),
-                                           return_when=FIRST_COMPLETED)
-                broke = False
-                for future in done:
-                    states = self.inflight.get(future)
-                    if states is None:
-                        continue  # cleared by an earlier pool break
-                    if self._process_future(future, states):
-                        broke = True
-                        break
-                if not broke and self.policy.job_timeout is not None \
-                        and self.backend.supports_timeout:
-                    self._cull_timeouts()
+            self._loop()
             self._run_fallbacks()
-            return self.result
-        finally:
-            self.backend.shutdown()
+        except BaseException:
+            if self.pool is not None:
+                self.pool.kill()
+            raise
+        if self.pool is not None:
+            self.pool.shutdown()
+        return self.result
+
+    def _loop(self) -> None:
+        while self.queue or self.inflight:
+            now = time.monotonic()
+            # Top up in-flight jobs (skipping backoff-gated ones) up to
+            # the worker count, so every submitted job is running and
+            # submission time approximates start time.
+            while len(self.inflight) < self.workers:
+                state = self._take_eligible(now)
+                if state is None:
+                    break
+                self._submit(state)
+            if not self.inflight:
+                if not self.queue:
+                    break
+                # Everything left is waiting out its backoff.
+                time.sleep(max(0.0, min(s.not_before
+                                        for s in self.queue) - now))
+                continue
+            with span("dispatch.wait", inflight=len(self.inflight)):
+                done, _ = futures_wait(set(self.inflight),
+                                       timeout=self._wait_timeout(now),
+                                       return_when=FIRST_COMPLETED)
+            for future in done:
+                state = self.inflight.get(future)
+                if state is None:
+                    continue  # cleared by an earlier pool break
+                if self._process_future(future, state):
+                    break
+            else:
+                if self.policy.job_timeout is not None:
+                    self._cull_timeouts()
 
     # -- last-resort inline attempts ---------------------------------------
 
@@ -600,38 +506,20 @@ class Dispatcher:
             state.submitted_pc = time.perf_counter()
             state.serialize_seconds = 0.0  # inline: nothing is pickled
             state.payload_bytes = 0
-            state.batch_size = 1
             state.inject = self.plan.draw(state.name)
-            faults.clear_fired()
             try:
                 with span("fallback_inline", bench=state.name):
-                    job = (state.name,) + self.job_tail + (state.inject,)
-                    output = run_job_inprocess(job)
+                    output = run_job_inprocess(self._job(state))
             except Exception as exc:
-                if state.inject is not None and \
-                        faults.pop_fired() != state.inject:
-                    # Externally-caused death before the drawn fault
-                    # fired: refund, exactly like the pool path.
-                    self._refund_inject(state)
-                else:
-                    state.inject = None
                 inc("faults.fallback.error")
-                flight = _flight_of(exc)
-                if flight is not None:
-                    self.result.flights[state.name] = flight
-                self._record_attempt(state, outcome="error",
-                                     mode="fallback")
+                failure = self._settle_error(state, exc, mode="fallback")
                 self._quarantine(state, reason, state.attempts + 1,
                                  f"{error}; inline fallback also failed: "
-                                 f"{_error_text(exc)}")
+                                 f"{failure.message}")
             else:
-                state.inject = None
                 inc("faults.fallback.success")
                 _log.info("inline fallback succeeded", bench=state.name)
-                self._record_attempt(state, outcome="ok", output=output,
-                                     received=time.perf_counter(),
-                                     mode="fallback")
-                self._absorb(state, output)
+                self._succeed(state, output, mode="fallback")
 
 
 def dispatch_study_jobs(
@@ -647,15 +535,14 @@ def dispatch_study_jobs(
         on_output: Optional[Callable[[WorkerOutput], None]] = None,
         verify: bool = False,
         profile: bool = False,
-        pool: Optional[str] = None,
-        batch: Optional[int] = None,
 ) -> DispatchResult:
     """Fan ``study_benchmark`` jobs out with retries and quarantine.
 
     Args:
         names: benchmarks to study (duplicates dropped with a warning).
-        jobs: worker processes (capped at ``len(names)``; ``1`` selects
-            the in-process backend unless ``pool`` overrides it).
+        jobs: worker processes, capped at ``len(names)``; one worker
+            runs every job inline, more run one job per future on a
+            process pool.
         policy: retry budget, job timeout and backoff (default
             :class:`RetryPolicy`).
         plan: the armed fault-injection plan (default: parsed from
@@ -668,11 +555,6 @@ def dispatch_study_jobs(
             job (shipped explicitly — the worker must not re-read the
             environment, or a parent-side explicit choice would not
             survive the process hop).
-        pool: backend name from :data:`BACKENDS` (default: ``$REPRO_POOL``,
-            else picked from ``jobs``/``batch`` — ``inprocess`` for one
-            worker, ``batched`` when ``batch > 1``, else ``process``).
-        batch: jobs per dispatch unit on the batched backend (default:
-            ``$REPRO_BATCH``, else sized for two batches per worker).
 
     Returns a :class:`DispatchResult`; the caller merges observability
     deterministically and decides what quarantined benchmarks mean.
@@ -681,32 +563,11 @@ def dispatch_study_jobs(
     policy = policy or RetryPolicy()
     plan = plan if plan is not None else faults.FaultPlan.from_env()
     on_output = on_output or (lambda output: None)
-    pool = resolve_pool(pool)
-    batch = resolve_batch(batch)
     job_tail = (tuple(thresholds), config, costs, steps_scale, include_perf,
                 verify, profile)
-    workers = max(1, min(jobs, len(names)))
-    if pool is None:
-        if batch is not None and batch > 1:
-            pool = BatchedProcessPool.name
-        elif workers <= 1:
-            pool = InProcessPool.name
-        else:
-            pool = ProcessPool.name
-    if pool != BatchedProcessPool.name and batch is not None and batch > 1:
-        raise ValueError(
-            f"batch > 1 requires the batched pool backend, got pool={pool!r}")
-    if pool == InProcessPool.name:
-        workers, batch = 1, 1
-    elif pool == ProcessPool.name:
-        batch = 1
-    elif batch is None:
-        # Two batches per worker: enough coarsening to amortize the
-        # per-dispatch overhead, enough units left for load balance.
-        batch = max(1, math.ceil(len(names) / (workers * 2)))
-    backend = BACKENDS[pool](workers, profile=profile)
-    if policy.job_timeout is not None and not backend.supports_timeout:
+    workers = min(jobs, len(names))
+    pool = ProcessPool(workers, profile=profile) if workers > 1 else None
+    if policy.job_timeout is not None and pool is None:
         _log.warning("job timeout is not enforced on the inline path",
                      job_timeout=policy.job_timeout)
-    return Dispatcher(names, job_tail, backend, batch, policy, plan,
-                      on_output).run()
+    return Dispatcher(names, job_tail, pool, policy, plan, on_output).run()

@@ -1,103 +1,60 @@
-"""Process-pool backends: warm persistent workers, optional batching.
+"""The process pool: one study job per future on worker processes.
 
 :class:`ProcessPool` wraps ``concurrent.futures.ProcessPoolExecutor``
-with a *warm registry*: on graceful shutdown the executor is parked
-(keyed by worker count) instead of destroyed, and the next pool of the
-same width adopts it — workers are spawned once, import the study
-machinery once, and are reused across dispatches.  ``kill()`` never
-parks: a pool torn down to reclaim a hung worker, or one that broke
-under a crashed job, is discarded so the warm registry only ever holds
-healthy executors.
-
-Warm reuse is safe across runs with different profiling settings
-because the worker entry point re-arms profiling per job; fault
-injection is parent-side (tokens are drawn before submission), so a
-warm worker carries no fault state either.
-
-:class:`BatchedProcessPool` is the same transport with a coarser unit
-of dispatch: the dispatcher hands it several jobs per submission,
-amortizing the per-future pickle/queue/wakeup overhead that dominates
-short study cells.  The mechanics are identical — the batch size lives
-in the dispatcher, the backend just carries the name that lands in the
-telemetry.
+with the two teardowns the dispatcher needs: :meth:`~ProcessPool.kill`
+reclaims hung or broken workers (and is how the dispatcher unwinds from
+an exception), :meth:`~ProcessPool.shutdown` ends a finished dispatch.
+Both join the workers, so no process outlives the dispatch that
+spawned it.
 """
 
 from __future__ import annotations
 
-import atexit
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict, List, Sequence
 
-from ...obs import log as obslog
-from ...obs.registry import inc
-from .base import PoolBackend
-from .worker import BatchItem, Job, pool_worker_init, run_job_batch
-
-_log = obslog.get_logger("repro.harness.pool.process")
-
-#: Parked executors awaiting reuse, keyed by worker count.  One slot
-#: per width is enough: the study engine runs one dispatch at a time.
-_WARM: Dict[int, ProcessPoolExecutor] = {}
+from .worker import Job, WorkerOutput, pool_worker_init, run_study_job
 
 
 def shutdown_warm_pools() -> None:
-    """Terminate every parked warm executor (atexit, test teardown)."""
-    while _WARM:
-        _, executor = _WARM.popitem()
-        executor.shutdown(wait=False, cancel_futures=True)
+    """No-op: pools are joined at the end of every dispatch.
+
+    Kept importable because the pinned study benchmark
+    (``studybench/child.py``) still imports and calls it.
+    """
 
 
-atexit.register(shutdown_warm_pools)
-
-
-class ProcessPool(PoolBackend):
-    """Persistent worker processes with warm reuse across dispatches."""
-
-    name = "process"
-    is_inline = False
-    supports_timeout = True
+class ProcessPool:
+    """Worker processes the dispatcher submits one job at a time to."""
 
     def __init__(self, workers: int, profile: bool = False):
-        super().__init__(workers, profile)
+        self.workers = workers
+        self.profile = profile
         self._executor: ProcessPoolExecutor = None  # type: ignore[assignment]
 
     def start(self) -> None:
-        warm = _WARM.pop(self.workers, None)
-        if warm is not None:
-            inc("pool.warm_hit")
-            _log.debug("adopted warm process pool", workers=self.workers)
-            self._executor = warm
-            return
-        inc("pool.warm_miss")
+        """Spawn a fresh executor (also how a killed pool is rebuilt)."""
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers, initializer=pool_worker_init,
             initargs=(self.profile,))
 
-    def submit(self, jobs: Sequence[Job]) -> "Future[List[BatchItem]]":
-        return self._executor.submit(run_job_batch, list(jobs))
+    def submit(self, job: Job) -> "Future[WorkerOutput]":
+        """Ship one job; the future raises a WorkerJobError on failure."""
+        return self._executor.submit(run_study_job, job)
 
     def kill(self) -> None:
-        """Terminate worker processes and discard the executor.
+        """Terminate every worker, then join them and the executor.
 
         ``ProcessPoolExecutor`` offers no per-worker kill, so reclaiming
         one hung worker means tearing the whole pool down (``_processes``
-        is private but stable since 3.7; guarded anyway).
+        is private but stable since 3.7; guarded anyway).  The executor's
+        manager thread sees the dead workers, fails their futures and
+        reaps them; waiting for it leaves exactly one reaper per worker.
         """
-        processes = list(
-            (getattr(self._executor, "_processes", None) or {}).values())
-        for process in processes:
+        for process in list(
+                (getattr(self._executor, "_processes", None) or {}).values()):
             process.terminate()
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
     def shutdown(self) -> None:
-        """Park the executor for the next same-width pool to adopt."""
-        stale = _WARM.pop(self.workers, None)
-        if stale is not None:  # defensive: never leak a displaced pool
-            stale.shutdown(wait=False, cancel_futures=True)
-        _WARM[self.workers] = self._executor
-
-
-class BatchedProcessPool(ProcessPool):
-    """The process transport dispatched in multi-job batches."""
-
-    name = "batched"
+        """Let the workers exit and join them."""
+        self._executor.shutdown(wait=True)

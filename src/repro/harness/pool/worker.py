@@ -1,19 +1,15 @@
-"""The worker-side protocol shared by every pool backend.
+"""The worker-side protocol of the study fan-out.
 
 A *job* is one benchmark's study as shipped to a worker: a plain tuple
 of picklable arguments ending with the profiling flag and the fault
 kind the parent drew for the attempt.  Workers run jobs under strict
-state isolation — the (fork-inherited, or warm-pool-retained) metrics
-registry, span buffer and flight ring are reset before each job and the
-job's signals travel back only inside the returned
-:class:`WorkerOutput` — so the parent can merge observability
-deterministically and a retried attempt is never double-counted.
-
-Batched dispatch coarsens the unit of transport, not the unit of
-isolation: :func:`run_job_batch` runs each member under the same
-per-job reset, and a member that raises becomes a
-:class:`BatchItemFailure` in the returned list instead of poisoning its
-batch-mates.
+state isolation — the (fork-inherited) metrics registry, span buffer
+and flight ring are reset before each job and the job's signals travel
+back only inside the returned :class:`WorkerOutput` — so the parent can
+merge observability deterministically and a retried attempt is never
+double-counted.  A job either returns a :class:`WorkerOutput` or raises
+a :class:`WorkerJobError`; there is no third outcome short of the
+worker process dying.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...dbt.config import DBTConfig
 from ...obs import flightrec
@@ -31,6 +27,8 @@ from ...obs import profile as obsprofile
 from ...obs import registry as obsregistry
 from ...obs import spans as obsspans
 from ...perfmodel.costs import CostModel
+# Looked up as a module global at call time: patching
+# ``worker.get_benchmark`` redirects every job, inline or forked.
 from ...workloads.spec import get_benchmark
 from .. import faults
 from ..results import BenchmarkResult
@@ -71,77 +69,47 @@ class WorkerOutput:
 
 
 class WorkerJobError(RuntimeError):
-    """A study job failed inside a worker; carries its flight ring.
+    """The one failure envelope a study job raises.
 
     Arbitrary worker exceptions do not always survive pickling back to
     the parent, and even when they do they arrive without the worker's
-    recent history.  The worker entry point wraps every failure in this
+    recent history.  The job entry point wraps every failure in this
     (explicitly picklable) envelope: the original error rendered as
-    text, the worker's flight-recorder ring, and the formatted
-    traceback — everything the parent needs to write a diagnosis dump.
+    text, the worker's flight-recorder ring, the formatted traceback,
+    which injected fault (if any) actually fired, and the attempt's pid
+    and ``perf_counter`` span.  ``fault_fired`` lets the parent refund a
+    drawn fault token when the attempt died of an unrelated cause before
+    its fault could fire, keeping the injection schedule deterministic.
     """
 
     def __init__(self, message: str,
                  flight: Optional[List[Dict[str, Any]]] = None,
-                 traceback_text: str = ""):
+                 traceback_text: str = "",
+                 fault_fired: Optional[str] = None, pid: int = 0,
+                 started_at: float = 0.0, finished_at: float = 0.0):
         super().__init__(message)
         self.message = message
-        self.flight = flight or []
+        self.flight = flight
         self.traceback_text = traceback_text
+        self.fault_fired = fault_fired
+        self.pid = pid
+        self.started_at = started_at
+        self.finished_at = finished_at
 
     def __reduce__(self):
         return (WorkerJobError,
-                (self.message, self.flight, self.traceback_text))
-
-
-@dataclass
-class BatchItemFailure:
-    """One failed member of a dispatched batch, as plain picklable data.
-
-    Raising out of a batch would charge every batch-mate for one
-    member's failure, so the batch runner catches per-member exceptions
-    into this envelope instead.  ``fault_fired`` records which injected
-    fault (if any) actually fired during the attempt — the parent
-    refunds the drawn token when the attempt died of an unrelated cause
-    before its fault could do its work, keeping the injection schedule
-    deterministic.
-    """
-
-    name: str
-    message: str
-    traceback_text: str = ""
-    flight: Optional[List[Dict[str, Any]]] = None
-    fault_fired: Optional[str] = None
-    pid: int = 0
-    started_at: float = 0.0
-    finished_at: float = 0.0
-
-
-#: What a batch future resolves to, one entry per member in order.
-BatchItem = Union[WorkerOutput, BatchItemFailure]
-
-
-def _error_text(exc: BaseException) -> str:
-    """A failure's display string, unwrapping the worker envelope."""
-    if isinstance(exc, WorkerJobError):
-        return exc.message
-    return f"{exc.__class__.__name__}: {exc}"
-
-
-def _flight_of(exc: BaseException) -> Optional[List[Dict[str, Any]]]:
-    """The worker flight ring shipped with a failure, if any."""
-    if isinstance(exc, WorkerJobError):
-        return exc.flight
-    return None
+                (self.message, self.flight, self.traceback_text,
+                 self.fault_fired, self.pid, self.started_at,
+                 self.finished_at))
 
 
 def pool_worker_init(profile: bool = False) -> None:
     """Pool initializer: stamp spawn time, arm faults and profiling.
 
-    Also pre-imports the study machinery so a *warm* worker pays the
-    import bill exactly once, at spawn — under the default fork start
-    method the modules are inherited for free, but a spawn-started or
-    long-lived worker would otherwise re-pay it on its first job.
+    Also pre-imports the study machinery so a worker pays the import
+    bill once, at spawn — under the default fork start method the
+    modules are inherited for free, but a spawn-started worker would
+    otherwise pay it inside its first job.
     """
     global _WORKER_SPAWNED_AT
     _WORKER_SPAWNED_AT = time.perf_counter()
@@ -151,27 +119,29 @@ def pool_worker_init(profile: bool = False) -> None:
 
 
 def run_study_job(job: Job) -> WorkerOutput:
-    """Run one benchmark's study in a worker process."""
+    """Run one benchmark's study; any failure leaves as a WorkerJobError."""
     (name, thresholds, config, costs, steps_scale, include_perf, verify,
      profile, inject) = job
-    # A forked worker inherits the parent's registry/trace contents (and
-    # a warm pool worker keeps state across jobs) — start each job clean
-    # so the returned state is exactly this benchmark's signals.
-    obsregistry.reset_metrics()
-    obsspans.clear_trace()
-    flightrec.clear()
-    obsprofile.set_profiling(profile)
-    obsprofile.reset_sampling()
-    # First breadcrumb after the reset: even a job that dies instantly
-    # ships a ring that says which benchmark it was running.
-    _log.debug("job start", bench=name, pid=os.getpid())
+    faults.clear_fired()
     started = time.perf_counter()
     try:
+        # A forked worker inherits the parent's registry/trace contents —
+        # start each job clean so the returned state is exactly this
+        # benchmark's signals.
+        obsregistry.reset_metrics()
+        obsspans.clear_trace()
+        flightrec.clear()
+        obsprofile.set_profiling(profile)
+        obsprofile.reset_sampling()
+        # First breadcrumb after the reset: even a job that dies
+        # instantly ships a ring that says which benchmark it was running.
+        _log.debug("job start", bench=name, pid=os.getpid())
         if inject is not None:
             faults.fire(inject, name)
         from ..runner import study_benchmark  # late: runner imports us
 
-        benchmark = get_benchmark(name)
+        with obsspans.span("workload.build", bench=name):
+            benchmark = get_benchmark(name)
         result = study_benchmark(benchmark, thresholds, config=config,
                                  costs=costs, steps_scale=steps_scale,
                                  include_perf=include_perf, verify=verify)
@@ -180,7 +150,10 @@ def run_study_job(job: Job) -> WorkerOutput:
         # injected crashes (os._exit) and hangs never reach this point.
         raise WorkerJobError(f"{exc.__class__.__name__}: {exc}",
                              flight=flightrec.export(),
-                             traceback_text=traceback.format_exc())
+                             traceback_text=traceback.format_exc(),
+                             fault_fired=faults.pop_fired(),
+                             pid=os.getpid(), started_at=started,
+                             finished_at=time.perf_counter())
     finished = time.perf_counter()
     return WorkerOutput(name=name, result=result,
                         seconds=finished - started,
@@ -193,48 +166,18 @@ def run_study_job(job: Job) -> WorkerOutput:
 def run_job_inprocess(job: Job) -> WorkerOutput:
     """Run :func:`run_study_job` inline under worker-grade state isolation.
 
-    The global registry, trace buffer and flight ring are snapshotted,
-    handed to the attempt (which resets them), and restored afterwards
-    whether the attempt succeeded or not.  The attempt's signals travel
-    only inside the returned :class:`WorkerOutput` — exactly the worker
-    protocol — so a failed attempt leaves no trace in the parent's
-    metrics and a retried benchmark is never double-counted.
+    The global registry, trace buffer and flight ring are swapped out
+    for fresh ones around the attempt and swapped back afterwards,
+    whether it succeeded or not — O(1), however much history the parent
+    holds.  The attempt's signals travel only inside the returned
+    :class:`WorkerOutput` — exactly the worker protocol — so a failed
+    attempt leaves no trace in the parent's metrics and a retried
+    benchmark is never double-counted.
     """
-    parent_metrics = obsregistry.export_state()
-    parent_trace = obsspans.trace_events()
-    parent_flight = flightrec.export()
     parent_profiling = obsprofile.profiling_enabled()
     try:
-        return run_study_job(job)
+        with obsregistry.isolated(), obsspans.isolated(), \
+                flightrec.isolated():
+            return run_study_job(job)
     finally:
-        obsregistry.reset_metrics()
-        obsregistry.merge_state(parent_metrics)
-        obsspans.clear_trace()
-        obsspans.extend_trace(parent_trace)
-        flightrec.restore(parent_flight)
         obsprofile.set_profiling(parent_profiling)
-
-
-def run_batch(jobs: Sequence[Job],
-              run_one: Callable[[Job], WorkerOutput]) -> List[BatchItem]:
-    """Run a batch of jobs, capturing per-member failures in place."""
-    items: List[BatchItem] = []
-    for job in jobs:
-        faults.clear_fired()
-        started = time.perf_counter()
-        try:
-            items.append(run_one(job))
-        except Exception as exc:
-            items.append(BatchItemFailure(
-                name=job[0], message=_error_text(exc),
-                traceback_text=getattr(exc, "traceback_text", "")
-                or traceback.format_exc(),
-                flight=_flight_of(exc), fault_fired=faults.pop_fired(),
-                pid=os.getpid(), started_at=started,
-                finished_at=time.perf_counter()))
-    return items
-
-
-def run_job_batch(jobs: Sequence[Job]) -> List[BatchItem]:
-    """The pool-worker batch entry point (must be a module-level name)."""
-    return run_batch(jobs, run_study_job)

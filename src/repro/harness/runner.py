@@ -47,8 +47,7 @@ from ..workloads.spec import (BASE_THRESHOLD, SIM_THRESHOLDS,
 from .faults import (FaultPlan, resolve_job_timeout, resolve_retries,
                      set_active_plan)
 from .pool import (RetryPolicy, WorkerOutput, dedupe_names,
-                   dispatch_study_jobs, resolve_batch, resolve_jobs,
-                   resolve_pool)
+                   dispatch_study_jobs, resolve_jobs)
 from .results import (BenchmarkResult, PerfPoint, StudyResults,
                       load_aggregate, load_shard, save_aggregate,
                       save_shard, shard_filename)
@@ -314,8 +313,7 @@ def run_full_study(names: Optional[Iterable[str]] = None,
                    verify: Optional[bool] = None,
                    profile: Optional[bool] = None,
                    flight_dir: Optional[str] = None,
-                   pool: Optional[str] = None,
-                   batch: Optional[int] = None) -> StudyResults:
+                   pool: Optional[str] = None) -> StudyResults:
     """Run (or load from cache) the full evaluation study.
 
     With the default arguments this reproduces every figure's raw data
@@ -354,20 +352,21 @@ def run_full_study(names: Optional[Iterable[str]] = None,
         flight_dir: where to write flight-recorder dumps for failed
             benchmarks (default: ``$REPRO_FLIGHT_DIR``, else
             ``<cache_dir>/flight``, else nowhere).
-        pool: pool backend for the fan-out — ``"inprocess"``,
-            ``"process"`` or ``"batched"`` (default: ``$REPRO_POOL``,
-            else chosen from ``jobs``/``batch``).  Every backend
-            produces bit-identical results.
-        batch: benchmarks per dispatch unit on the batched backend
-            (default: ``$REPRO_BATCH``, else sized automatically).
+        pool: configures nothing — ``jobs`` alone picks inline or
+            process execution.  Accepted so existing callers keep
+            working, but it must be ``None`` or the name ``jobs``
+            implies (``"inprocess"`` at one job, ``"process"`` above);
+            anything else raises ``ValueError``.
     """
     config = config or DBTConfig()
     if names is None:
         names = [b.name for b in all_benchmarks()]
     names = dedupe_names(list(names))
     jobs = resolve_jobs(jobs)
-    pool = resolve_pool(pool)
-    batch = resolve_batch(batch)
+    implied = "inprocess" if jobs == 1 else "process"
+    if pool not in (None, implied):
+        raise ValueError(f"pool={pool!r} contradicts jobs={jobs}, which "
+                         f"runs {implied!r}")
     verify = resolve_verify(verify)
     profile = resolve_profile(profile)
     set_profiling(profile)
@@ -395,7 +394,7 @@ def run_full_study(names: Optional[Iterable[str]] = None,
         return _compute_study(
             names, thresholds, config, costs, steps_scale, include_perf,
             verify, cache_dir, cache_path, key, confkey, jobs, policy,
-            plan, profile, flight_dir, pool, batch)
+            plan, profile, flight_dir)
     finally:
         set_active_plan(None)
 
@@ -440,7 +439,7 @@ def _write_flight_dumps(failures, flights, flight_dir, cache_dir) -> None:
 def _compute_study(names, thresholds, config, costs, steps_scale,
                    include_perf, verify, cache_dir, cache_path, key,
                    confkey, jobs, policy, plan, profile=False,
-                   flight_dir=None, pool=None, batch=None) -> StudyResults:
+                   flight_dir=None) -> StudyResults:
     """The cache-miss path of :func:`run_full_study`."""
     collected: Dict[str, BenchmarkResult] = {}
     timings: Dict[str, float] = {}
@@ -484,8 +483,7 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
             dispatch = dispatch_study_jobs(
                 pending, thresholds, config, costs, steps_scale,
                 include_perf, jobs=jobs, policy=policy, plan=plan,
-                on_output=_absorb, verify=verify, profile=profile,
-                pool=pool, batch=batch)
+                on_output=_absorb, verify=verify, profile=profile)
             dispatch_wall = time.perf_counter() - dispatch_started
             failures = dispatch.failures
             own_pid = os.getpid()
@@ -535,9 +533,6 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
         steps_scale=steps_scale, include_perf=include_perf,
         timings=timings, total_seconds=round(total, 3),
         extra={"jobs": jobs, "cached_benchmarks": cached_names,
-               "pool": dispatch.backend if dispatch is not None else None,
-               "batch_size":
-                   dispatch.batch_size if dispatch is not None else None,
                "config_fingerprint": confkey,
                "retries": policy.retries,
                "job_timeout": policy.job_timeout,

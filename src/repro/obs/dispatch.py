@@ -11,7 +11,7 @@ splits its life into named segments —
   (this includes pool spin-up and worker import cost for the first job
   a fresh worker runs; ``spawn`` isolates that part),
 * ``spawn`` — the slice of queue time spent before the worker process
-  finished initialising (zero once a worker is warm),
+  finished initialising (zero after a worker's first job),
 * ``execute`` — the worker running the study benchmark,
 * ``transfer`` — worker done until the parent future resolves
   (result pickling + pipe transfer + parent wake-up),
@@ -42,8 +42,6 @@ class JobTimeline:
     bench: str
     mode: str = "pool"            # "pool" | "inline" | "fallback"
     attempt: int = 1
-    backend: str = "process"      # pool-backend name that ran the attempt
-    batch_size: int = 1           # members in the attempt's dispatch unit
     worker_pid: Optional[int] = None
     payload_bytes: int = 0
     serialize_seconds: float = 0.0
@@ -95,15 +93,11 @@ def summarize(records: Sequence[JobTimeline],
     totals = {name: 0.0 for name in SEGMENTS}
     payload_bytes = 0
     outcomes: Dict[str, int] = {}
-    backends: Dict[str, int] = {}
-    max_batch = 0
     for record in records:
         for name in SEGMENTS:
             totals[name] += record.segment(name)
         payload_bytes += record.payload_bytes
         outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
-        backends[record.backend] = backends.get(record.backend, 0) + 1
-        max_batch = max(max_batch, record.batch_size)
 
     execute = totals["execute"]
     overhead = sum(totals.values()) - execute
@@ -112,8 +106,6 @@ def summarize(records: Sequence[JobTimeline],
         "records": len(records),
         "payload_bytes": payload_bytes,
         "outcomes": outcomes,
-        "backends": backends,
-        "max_batch_size": max_batch,
         "segments_seconds": {name: round(totals[name], 6)
                              for name in SEGMENTS},
         "execute_seconds": round(execute, 6),
@@ -137,12 +129,6 @@ def render(summary: Optional[Dict[str, Any]]) -> str:
         return "dispatch breakdown: none recorded"
     lines = [f"dispatch breakdown: {summary.get('records', 0)} job "
              f"attempt(s), jobs={summary.get('jobs', 1)}"]
-    backends = summary.get("backends") or {}
-    if backends:
-        detail = ", ".join(f"{name} x{count}"
-                           for name, count in sorted(backends.items()))
-        lines.append(f"  backend(s): {detail}, max batch size "
-                     f"{summary.get('max_batch_size', 1)}")
     segments = summary.get("segments_seconds") or {}
     total = sum(segments.values()) or 1.0
     lines.append(f"  {'segment':10s} {'seconds':>10s} {'share':>7s}")

@@ -23,7 +23,8 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from . import registry as _registry
 
@@ -90,7 +91,7 @@ class FlightRecorder:
         self._ring.clear()
 
     def restore(self, events: List[Dict[str, Any]]) -> None:
-        """Replace the ring contents (worker-grade state isolation)."""
+        """Replace the ring contents, keeping the newest ``capacity``."""
         self._ring.clear()
         self._ring.extend(events[-self.capacity:])
 
@@ -123,9 +124,15 @@ def clear() -> None:
     _DEFAULT.clear()
 
 
-def restore(events: List[Dict[str, Any]]) -> None:
-    """Replace the global ring's events (state isolation around retries)."""
-    _DEFAULT.restore(events)
+@contextmanager
+def isolated() -> Iterator[None]:
+    """Run the body against a fresh global ring, then swap back (O(1))."""
+    global _DEFAULT
+    outer, _DEFAULT = _DEFAULT, FlightRecorder(_DEFAULT.capacity)
+    try:
+        yield
+    finally:
+        _DEFAULT = outer
 
 
 def resolve_flight_dir(flight_dir: Optional[str] = None,

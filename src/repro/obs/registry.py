@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, List, Optional, Union
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Union
 
 Number = Union[int, float]
 
@@ -85,10 +86,13 @@ class Histogram:
         frac = index - lo
         if lo + 1 >= len(values):
             return values[-1]
-        # a + (b - a) * frac is exact when a == b, so a percentile never
-        # overshoots its neighbours (a * (1 - f) + b * f can, by an ulp).
+        # numpy's lerp: step from the nearer neighbour.  Exact when
+        # a == b, so a percentile never overshoots its neighbours, and
+        # it stays within an ulp of the top one as frac approaches 1.
         a, b = values[lo], values[lo + 1]
-        return a + (b - a) * frac
+        if frac < 0.5:
+            return a + (b - a) * frac
+        return b - (b - a) * (1.0 - frac)
 
     def summary(self) -> Dict[str, float]:
         """count/sum/min/max/mean plus the p50/p90/p99 percentiles."""
@@ -259,6 +263,20 @@ def merge_state(state: Dict[str, Dict]) -> None:
 def reset_metrics() -> None:
     """Reset the global registry."""
     _DEFAULT.reset()
+
+
+@contextmanager
+def isolated() -> Iterator[None]:
+    """Run the body against a fresh global registry, then swap back.
+
+    O(1) whatever the outer registry holds: it is set aside, not copied.
+    """
+    global _DEFAULT
+    outer, _DEFAULT = _DEFAULT, MetricsRegistry()
+    try:
+        yield
+    finally:
+        _DEFAULT = outer
 
 
 def write_metrics(path: str) -> None:

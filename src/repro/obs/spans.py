@@ -18,7 +18,8 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from . import registry as _registry
 
@@ -142,6 +143,23 @@ def clear_trace() -> None:
         _LANE_LABELS.clear()
 
 
+@contextmanager
+def isolated() -> Iterator[None]:
+    """Run the body against a fresh trace buffer, then swap back.
+
+    O(1) whatever the outer buffer holds: it is set aside, not copied.
+    """
+    global _EVENTS, _LANE_LABELS
+    with _EVENTS_LOCK:
+        outer = _EVENTS, _LANE_LABELS
+        _EVENTS, _LANE_LABELS = [], {}
+    try:
+        yield
+    finally:
+        with _EVENTS_LOCK:
+            _EVENTS, _LANE_LABELS = outer
+
+
 def extend_trace(events: List[Dict[str, Any]],
                  label: Optional[str] = None) -> None:
     """Append externally produced span events (worker → parent merge).
@@ -156,8 +174,8 @@ def extend_trace(events: List[Dict[str, Any]],
     process's own pid (a job attempt that ran inline rather than in a
     pool worker) are remapped onto a synthetic pid so they render as
     their own lane instead of collapsing onto the parent's row.  Without
-    a label the events are appended verbatim (the state-restore path
-    around inline retries depends on that).  The buffer cap applies.
+    a label the events are appended verbatim (inline job spans re-nest
+    in the parent's own lane that way).  The buffer cap applies.
     """
     global _SYNTHETIC_PID
     own_pid = os.getpid()

@@ -11,9 +11,8 @@ from repro.stochastic import ProgramBehavior, steady, walk
 #: Runtime knobs the suite must not inherit from the developer's shell —
 #: a stray REPRO_JOBS=1 or REPRO_VERIFY=1 would silently change what the
 #: tests exercise.
-_REPRO_ENV_VARS = ("REPRO_JOBS", "REPRO_POOL", "REPRO_BATCH",
-                   "REPRO_FAULT_SPEC", "REPRO_VERIFY", "REPRO_RETRIES",
-                   "REPRO_JOB_TIMEOUT", "REPRO_PROFILE",
+_REPRO_ENV_VARS = ("REPRO_JOBS", "REPRO_FAULT_SPEC", "REPRO_VERIFY",
+                   "REPRO_RETRIES", "REPRO_JOB_TIMEOUT", "REPRO_PROFILE",
                    "REPRO_PROFILE_SAMPLE", "REPRO_FLIGHT_DIR",
                    "REPRO_FLIGHT_CAPACITY")
 
@@ -23,11 +22,6 @@ def _hermetic_repro_env(monkeypatch):
     """Clear every ``REPRO_*`` runtime knob around each test."""
     for var in _REPRO_ENV_VARS:
         monkeypatch.delenv(var, raising=False)
-    yield
-    # Warm pool workers hold fork-time state (environment, module
-    # globals) — a worker parked by one test must not serve the next.
-    from repro.harness.pool import shutdown_warm_pools
-    shutdown_warm_pools()
 
 
 @pytest.fixture

@@ -21,9 +21,10 @@ def test_parser_accepts_options():
     assert args.quick and args.no_perf and args.no_cache and args.verbose
 
 
-@pytest.mark.parametrize("flag", ["--kernel", "--replay-kernel"])
+@pytest.mark.parametrize("flag", ["--kernel", "--replay-kernel", "--pool",
+                                  "--batch"])
 def test_parser_rejects_engine_flags(flag):
-    """The walker and replay engines are not selectable at run time."""
+    """Neither the engines nor the fan-out transport are selectable."""
     with pytest.raises(SystemExit):
         build_parser().parse_args([flag, "scalar"])
 

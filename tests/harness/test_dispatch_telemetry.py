@@ -10,7 +10,8 @@ from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
 from repro.harness.pool import RetryPolicy, dispatch_study_jobs
 from repro.obs.dispatch import SEGMENTS, JobTimeline, summarize
-from repro.obs.spans import clear_trace, trace_events, write_trace
+from repro.obs.spans import (clear_trace, extend_trace, trace_events,
+                             write_trace)
 from repro.perfmodel import DEFAULT_COSTS
 
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
@@ -131,6 +132,28 @@ def test_serial_manifest_attributes_without_double_counting():
     assert profile["total_seconds"] <= \
         results.manifest["total_seconds"] * 1.5
     assert profile["coverage"] > 0.85
+
+
+def test_inline_isolation_does_not_scale_with_parent_history():
+    # A long-lived parent (a pytest run, a notebook) carries a large
+    # trace buffer.  Isolating an inline job must set that history
+    # aside, not copy it, or the copy lands in harness time and drags
+    # phase coverage down with the buffer's size.
+    history = [{"name": "history", "cat": "repro", "ph": "X",
+                "ts": -1.0 - i, "dur": 1.0, "pid": os.getpid(), "tid": 0,
+                "args": {}} for i in range(100_000)]
+    # Warm the per-process caches first: mid-suite the study is short,
+    # which is when a per-job copy of the history dominates.
+    run_full_study(names=["gzip"], cache_dir=None, jobs=1, **KWARGS)
+    clear_trace()
+    extend_trace(history)
+    try:
+        results = run_full_study(names=["gzip"], cache_dir=None, jobs=1,
+                                 **KWARGS)
+        assert results.manifest["profile"]["coverage"] > 0.85
+        assert trace_events()[:len(history)] == history
+    finally:
+        clear_trace()
 
 
 def test_cached_run_skips_dispatch_section(tmp_path):

@@ -1,23 +1,26 @@
-"""Pool backends: selection, equivalence, batching and warm reuse.
+"""The two dispatch paths: inline at one worker, a process pool above.
 
 The load-bearing guarantee of :mod:`repro.harness.pool`: figure data is
-byte-identical across every backend × jobs × batch combination — the
-backends differ only in transport cost.  On top of that, the dispatch
-engine's failure semantics must be batch-aware (a failing member never
-charges its batch-mates), warm pools must actually be reused, an
-unpicklable job must fail fast with the original pickling error instead
-of an opaque pool break, and a drawn fault token must be refunded when
-the attempt dies of an unrelated cause before the fault fires.
+byte-identical for every job count — the paths differ only in transport
+cost.  On top of that, a failing job must never charge its pool-mates,
+an unpicklable job must fail fast with the original pickling error
+instead of an opaque pool break, a drawn fault token must be refunded
+when the attempt dies of an unrelated cause before the fault fires, and
+``run_full_study(pool=)`` survives only as a consistency check on the
+job count.
 """
+
+import dataclasses
+import multiprocessing
+import pickle
 
 import pytest
 
 from repro.dbt import DBTConfig
 from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
-from repro.harness.pool import (BACKENDS, BATCH_ENV, JOBS_ENV, POOL_ENV,
-                                RetryPolicy, dispatch_study_jobs,
-                                resolve_batch, resolve_jobs, resolve_pool)
+from repro.harness.pool import (JOBS_ENV, RetryPolicy, WorkerJobError,
+                                dispatch_study_jobs, resolve_jobs)
 from repro.obs import counter_value
 from repro.perfmodel import DEFAULT_COSTS
 
@@ -28,14 +31,13 @@ DISPATCH_ARGS = dict(thresholds=[5, 50], config=DBTConfig(),
                      include_perf=False)
 
 
-def _dispatch(names, plan=None, retries=2, jobs=2, pool=None, batch=None,
-              **overrides):
+def _dispatch(names, plan=None, retries=2, jobs=2, **overrides):
     policy = RetryPolicy(retries=retries, backoff=0.0)
     args = dict(DISPATCH_ARGS, **overrides)
     return dispatch_study_jobs(
         names, jobs=jobs, policy=policy,
         plan=plan if plan is not None else FaultPlan.from_spec(None),
-        pool=pool, batch=batch, **args)
+        **args)
 
 
 def _identical_bytes(results_a, results_b, tmp_path):
@@ -63,63 +65,23 @@ def test_resolve_jobs_rejects_empty_env(monkeypatch):
     assert resolve_jobs(2) == 2  # explicit never consults the env
 
 
-def test_resolve_pool_explicit_env_and_validation(monkeypatch):
-    assert resolve_pool(None) is None
-    assert resolve_pool("batched") == "batched"
-    monkeypatch.setenv(POOL_ENV, "process")
-    assert resolve_pool(None) == "process"
-    assert resolve_pool("inprocess") == "inprocess"  # explicit beats env
-    monkeypatch.setenv(POOL_ENV, "")
-    with pytest.raises(ValueError, match="pool backend must be one of"):
-        resolve_pool(None)
-    with pytest.raises(ValueError, match="pool backend must be one of"):
-        resolve_pool("threads")
+def test_pool_keyword_must_match_the_job_count():
+    # The keyword configures nothing; it only has to agree with what the
+    # job count picks.  No study runs: validation precedes everything.
+    for pool, jobs in (("process", 1), ("inprocess", 2), ("batched", 2)):
+        with pytest.raises(ValueError, match="contradicts"):
+            run_full_study(names=["gzip"], cache_dir=None, jobs=jobs,
+                           pool=pool, **KWARGS)
 
 
-def test_resolve_batch_env_and_validation(monkeypatch):
-    assert resolve_batch(None) is None
-    assert resolve_batch(3) == 3
-    monkeypatch.setenv(BATCH_ENV, "4")
-    assert resolve_batch(None) == 4
-    monkeypatch.setenv(BATCH_ENV, "")
-    with pytest.raises(ValueError, match="must be an integer"):
-        resolve_batch(None)
-    with pytest.raises(ValueError, match=">= 1"):
-        resolve_batch(0)
-
-
-def test_batch_requires_batched_backend():
-    for pool in ("process", "inprocess"):
-        with pytest.raises(ValueError, match="batch > 1 requires"):
-            _dispatch(["gzip", "art"], pool=pool, batch=2)
-
-
-def test_cli_parses_pool_and_batch():
-    from repro.harness.cli import build_parser
-    args = build_parser().parse_args([])
-    assert args.pool is None and args.batch is None
-    args = build_parser().parse_args(["--pool", "batched", "--batch", "3"])
-    assert args.pool == "batched"
-    assert args.batch == 3
-
-
-def test_backend_registry_names():
-    assert set(BACKENDS) == {"inprocess", "process", "batched"}
-    for name, backend_cls in BACKENDS.items():
-        assert backend_cls.name == name
-
-
-# -- backend equivalence (the non-negotiable invariant) -----------------------
+# -- job-count equivalence (the non-negotiable invariant) --------------------
 
 
 def test_every_backend_produces_identical_bytes(tmp_path):
+    """Inline (jobs 1) and the process pool (jobs 2, 3) give equal bytes."""
     names = ["gzip", "mcf", "art"]
-    cells = [
-        dict(jobs=1),                              # inferred: inprocess
-        dict(jobs=2, pool="process"),
-        dict(jobs=2, pool="batched", batch=2),
-        dict(jobs=3, pool="batched", batch=1),
-    ]
+    cells = [dict(jobs=1, pool="inprocess"), dict(jobs=2, pool="process"),
+             dict(jobs=3)]
     runs = []
     deltas = []
     for cell in cells:
@@ -130,67 +92,98 @@ def test_every_backend_produces_identical_bytes(tmp_path):
                       translated)
         runs.append(results)
     baseline = runs[0]
-    assert baseline.manifest["pool"] == "inprocess"
+    modes = {r["mode"] for r in
+             baseline.manifest["dispatch"]["records_detail"]}
+    assert modes == {"inline"}
     for cell, results in zip(cells[1:], runs[1:]):
         assert _identical_bytes(baseline, results, tmp_path), cell
-        assert results.manifest["pool"] == cell["pool"]
+        records = results.manifest["dispatch"]["records_detail"]
+        assert {r["mode"] for r in records} == {"pool"}, cell
     # The observability merge is lossless: every cell lands exactly the
     # same replay counters in the parent registry.
     assert len(set(deltas)) == 1 and deltas[0] > 0
 
 
-def test_batched_timelines_carry_backend_and_batch_size():
-    results = run_full_study(names=["gzip", "mcf", "art"], cache_dir=None,
-                             jobs=2, pool="batched", batch=2, **KWARGS)
-    manifest = results.manifest
-    assert manifest["pool"] == "batched"
-    assert manifest["batch_size"] == 2
-    summary = manifest["dispatch"]
-    assert summary["backends"] == {"batched": 3}
-    assert summary["max_batch_size"] == 2
-    sizes = sorted(r["batch_size"] for r in summary["records_detail"])
-    assert sizes == [1, 2, 2]  # two full members + the leftover
-    assert all(r["backend"] == "batched"
-               for r in summary["records_detail"])
+def test_patched_get_benchmark_drives_both_paths(monkeypatch, tmp_path):
+    # Jobs fetch their benchmark through the worker module's global at
+    # call time, inline and in forked workers alike: patching it must
+    # move the results identically on both paths.
+    from repro.harness.pool import worker
+
+    fetch = worker.get_benchmark
+
+    def reseeded(name):
+        benchmark = fetch(name)
+        return dataclasses.replace(benchmark,
+                                   seed_ref=benchmark.seed_ref + 7919,
+                                   seed_train=benchmark.seed_train + 7919)
+
+    names = ["gzip", "art"]
+    stock = run_full_study(names=names, cache_dir=None, jobs=1, **KWARGS)
+    monkeypatch.setattr(worker, "get_benchmark", reseeded)
+    serial = run_full_study(names=names, cache_dir=None, jobs=1, **KWARGS)
+    parallel = run_full_study(names=names, cache_dir=None, jobs=2,
+                              **KWARGS)
+    assert _identical_bytes(serial, parallel, tmp_path)
+    assert not _identical_bytes(stock, serial, tmp_path)
 
 
-# -- batch failure semantics --------------------------------------------------
+# -- failure containment ------------------------------------------------------
 
 
-def test_error_inside_batch_spares_batch_mates():
+def test_error_in_one_job_spares_its_pool_mates():
     rebuilds = counter_value("faults.pool_rebuild")
     errors = counter_value("retry.error")
     dispatch = _dispatch(["art", "gzip", "mcf", "swim"],
                          plan=FaultPlan.from_spec("gzip:error:1"),
-                         retries=2, jobs=2, pool="batched", batch=2)
+                         retries=2, jobs=2)
     assert set(dispatch.outputs) == {"art", "gzip", "mcf", "swim"}
     assert dispatch.failures == {}
-    # An in-batch exception is contained per member: the pool survives
-    # and only the failing member is charged — its batch-mate's single
-    # attempt succeeded.
+    # A raising job is contained: the pool survives and only the failing
+    # job is charged — every pool-mate's single attempt succeeded.
     assert counter_value("faults.pool_rebuild") == rebuilds
     assert counter_value("retry.error") == errors + 1
     per_bench = {}
     for record in dispatch.records:
         per_bench.setdefault(record.bench, []).append(record.outcome)
     assert per_bench["gzip"] == ["error", "ok"]
-    assert per_bench["art"] == ["ok"]
+    for name in ("art", "mcf", "swim"):
+        assert per_bench[name] == ["ok"]
 
 
-# -- warm worker reuse --------------------------------------------------------
+def test_failure_envelope_survives_pickling():
+    # Pool failures reach the parent only as a pickled WorkerJobError;
+    # every field the dispatcher books from must make the trip.
+    error = WorkerJobError("RuntimeError: boom", flight=[{"name": "x"}],
+                           traceback_text="tb", fault_fired="error",
+                           pid=4242, started_at=1.5, finished_at=2.5)
+    copy = pickle.loads(pickle.dumps(error))
+    assert str(copy) == "RuntimeError: boom"
+    assert (copy.message, copy.flight, copy.traceback_text,
+            copy.fault_fired, copy.pid, copy.started_at,
+            copy.finished_at) == ("RuntimeError: boom", [{"name": "x"}],
+                                  "tb", "error", 4242, 1.5, 2.5)
 
 
-def test_warm_pool_reused_across_dispatches():
-    misses = counter_value("pool.warm_miss")
-    hits = counter_value("pool.warm_hit")
-    first = _dispatch(["art", "gzip"], jobs=2, pool="process")
-    second = _dispatch(["art", "gzip"], jobs=2, pool="process")
-    assert counter_value("pool.warm_miss") == misses + 1
-    assert counter_value("pool.warm_hit") == hits + 1
-    first_pids = {o.pid for o in first.outputs.values()}
-    second_pids = {o.pid for o in second.outputs.values()}
-    # The second dispatch adopted the parked pool: same worker processes.
-    assert first_pids & second_pids
+def test_aborted_parallel_study_leaves_no_worker_behind(monkeypatch,
+                                                        tmp_path):
+    # An exception out of the parent's completion handler unwinds the
+    # dispatch: the pool must be killed and joined, not left with a
+    # pending job for a later dispatch to trip over.
+    def _full_disk(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    names = ["gzip", "mcf", "art"]
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.harness.runner.save_shard", _full_disk)
+        with pytest.raises(OSError, match="no space left"):
+            run_full_study(names=names, cache_dir=str(tmp_path / "a"),
+                           jobs=2, **KWARGS)
+    assert multiprocessing.active_children() == []
+    results = run_full_study(names=names, cache_dir=str(tmp_path / "b"),
+                             jobs=2, **KWARGS)
+    assert set(results.benchmarks) == set(names)
+    assert multiprocessing.active_children() == []
 
 
 # -- pickling failures (satellite: swallowed into an empty payload) -----------
@@ -203,18 +196,19 @@ def test_unpicklable_job_fails_fast_with_original_error():
     rebuilds = counter_value("faults.pool_rebuild")
     errors = counter_value("retry.error")
     fallback = counter_value("faults.fallback.success")
-    dispatch = _dispatch(["gzip"], retries=0, jobs=2, pool="process",
+    dispatch = _dispatch(["gzip", "art"], retries=0, jobs=2,
                          config=LocalConfig())
-    # The pickling failure is charged to the job immediately — no opaque
+    # The pickling failure is charged to each job immediately — no opaque
     # pool break — and the inline fallback (which never pickles) saves it.
-    assert set(dispatch.outputs) == {"gzip"}
+    assert set(dispatch.outputs) == {"gzip", "art"}
     assert dispatch.failures == {}
     assert counter_value("faults.pool_rebuild") == rebuilds
-    assert counter_value("retry.error") == errors + 1
-    assert counter_value("faults.fallback.success") == fallback + 1
+    assert counter_value("retry.error") == errors + 2
+    assert counter_value("faults.fallback.success") == fallback + 2
     failed = [r for r in dispatch.records if r.outcome == "error"]
-    assert len(failed) == 1
-    assert failed[0].payload_bytes == 0  # never serialised, never shipped
+    assert len(failed) == 2
+    # Never serialised, never shipped.
+    assert all(r.payload_bytes == 0 for r in failed)
 
 
 def test_unpicklable_job_quarantine_names_pickling(monkeypatch):
@@ -227,12 +221,13 @@ def test_unpicklable_job_quarantine_names_pickling(monkeypatch):
         raise RuntimeError("sampler exploded")
 
     monkeypatch.setattr("repro.obs.profile.reset_sampling", _boom)
-    dispatch = _dispatch(["gzip"], retries=0, jobs=2, pool="process",
+    dispatch = _dispatch(["gzip", "art"], retries=0, jobs=2,
                          config=LocalConfig())
     assert dispatch.outputs == {}
-    failure = dispatch.failures["gzip"]
-    assert "failed to pickle" in failure.error
-    assert "inline fallback also failed" in failure.error
+    for failure in dispatch.failures.values():
+        assert "failed to pickle" in failure.error
+        assert "inline fallback also failed" in failure.error
+    assert set(dispatch.failures) == {"gzip", "art"}
 
 
 # -- fault-token refunds (satellite: tokens lost to unrelated deaths) ---------

@@ -9,10 +9,10 @@ rests on:
    figure shows up here as a digest mismatch, forcing a deliberate
    regeneration (see EXPERIMENTS.md, "Regenerating the golden corpus")
    instead of silent drift.
-2. **Reduced-study digest** — a small study is recomputed under every
-   dispatch mode (jobs 1, jobs 2 on the process pool, jobs 2 on the
-   batched pool) and verification mode, and every cell must serialise to
-   one pinned SHA-256.  This is the fast, always-on version of the
+2. **Reduced-study digest** — a small study is recomputed under both
+   dispatch paths (jobs 1 inline, jobs 2 on the process pool) and both
+   verification modes, and every cell must serialise to one pinned
+   SHA-256.  This is the fast, always-on version of the
    full-corpus guarantee; pinning the digest (rather than only comparing
    cells with each other) also catches a change that moves every cell
    together.  The same study re-run with the scalar oracles swapped in
@@ -113,22 +113,18 @@ def test_golden_corpus_digest(name):
 def test_reduced_study_matrix_byte_identical():
     """dispatch mode x verify: every cell hashes to the pinned digest and
     renders every figure identically."""
-    # Verification is dispatch-blind; sweeping it across the batched
-    # backend too would slow the wall without adding coverage.
-    cells = [dict(jobs=1, verify=False),              # inprocess backend
+    cells = [dict(jobs=1, verify=False),              # inline
              dict(jobs=1, verify=True),
-             dict(jobs=2, pool="process", verify=False),
-             dict(jobs=2, pool="process", verify=True),
-             dict(jobs=2, pool="batched", batch=2, verify=False)]
+             dict(jobs=2, verify=False),              # process pool
+             dict(jobs=2, verify=True)]
     rendered = None
     for cell in cells:
         results = run_full_study(**cell, **REDUCED)
         digest = hashlib.sha256(_figure_bytes(results)).hexdigest()
         assert digest == REDUCED_DIGEST, f"{cell} drifted to {digest}"
-        if "pool" in cell:
-            assert results.manifest["pool"] == cell["pool"], cell
-        if "batch" in cell:
-            assert results.manifest["batch_size"] == cell["batch"], cell
+        modes = {r["mode"] for r in
+                 results.manifest["dispatch"]["records_detail"]}
+        assert modes == {"inline" if cell["jobs"] == 1 else "pool"}, cell
         figures = {fignum: render(builder(results))
                    for fignum, builder in FIGURES.items()}
         if rendered is None:

@@ -34,6 +34,7 @@ def _registry_with(values):
 
 
 @given(values=value_lists, p=st.floats(min_value=0, max_value=100))
+@example(values=[0.0, -33554433.0], p=99.99999999999999)
 @settings(max_examples=200, deadline=None)
 def test_percentile_matches_numpy_linear_interpolation(values, p):
     histogram = Histogram("test")
