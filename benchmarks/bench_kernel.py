@@ -24,9 +24,10 @@ scalar path) — the denominator that matters for end-to-end study runs.
 The ``replay_path`` section races the *consumers* of that hand-off:
 the per-event scalar replay oracle
 (:func:`~repro.dbt.batchreplay.run_scalar_replay`, one threshold at a
-time) against the production ``MultiThresholdReplay``, each replaying
-every threshold over an identical pre-recorded trace and then pricing
-every threshold's translation map (the production side sharing one
+time) pricing each map step by step (``tests.oracles.oracle_cost``)
+against the production ``MultiThresholdReplay``, each replaying every
+threshold over an identical pre-recorded trace and then pricing every
+threshold's translation map (the production side sharing one
 ``CostTables`` across the sweep, exactly as the harness does).  Both
 sides must produce bit-identical cost breakdowns.
 
@@ -35,8 +36,12 @@ Run as a script (pytest collects this file but finds no tests in it).
 
 import argparse
 import json
+import os
 import sys
 import time
+
+#: The repository root, so the oracles in ``tests/oracles.py`` import.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _cells(scale):
@@ -106,7 +111,7 @@ def bench_replay(reps, scale):
 
     Each cell pre-records one reference trace (vector kernel — both
     contenders consume identical bytes), then races, per repetition,
-    the scalar oracle (per-event heap walk per threshold + per-call
+    the scalar oracle (per-event heap walk per threshold + per-step
     cost estimates) against the production path (batched windowed
     sweeps + one shared ``CostTables``) over the full
     ``SIM_THRESHOLDS`` ladder.  The cost breakdowns must agree field
@@ -121,6 +126,10 @@ def bench_replay(reps, scale):
     from repro.perfmodel import CostTables, estimate_cost
     from repro.stochastic import record_trace
     from repro.workloads.spec import SIM_THRESHOLDS
+
+    if REPO_ROOT not in sys.path:
+        sys.path.insert(0, REPO_ROOT)
+    from tests.oracles import oracle_cost
 
     thresholds = list(SIM_THRESHOLDS)
     best = {}
@@ -142,8 +151,8 @@ def bench_replay(reps, scale):
                 state = ThresholdReplayState(trace, cfg, config, loops)
                 run_scalar_replay(registration_positions(events, t),
                                   config, state.optimize_blocks)
-                priced.append(estimate_cost(trace, state.translation_map(),
-                                            sizes))
+                priced.append(oracle_cost(trace, state.translation_map(),
+                                          sizes))
             return priced
 
         def production_side():

@@ -57,16 +57,6 @@ class TranslationMap:
             for src, _ in region.back_edges:
                 self.internal_pairs.add((members[src], members[0]))
 
-    def internal_pair_codes(self) -> np.ndarray:
-        """Internal edges encoded as ``src * num_blocks + dst`` (sorted)."""
-        if not self.internal_pairs:
-            return np.empty(0, dtype=np.int64)
-        codes = np.fromiter(
-            (s * self.num_blocks + d for s, d in self.internal_pairs),
-            dtype=np.int64, count=len(self.internal_pairs))
-        codes.sort()
-        return codes
-
     def is_internal(self, src: int, dst: int) -> bool:
         """True if the dynamic edge src->dst stays inside optimised code."""
         return (src, dst) in self.internal_pairs

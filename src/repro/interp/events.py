@@ -141,9 +141,9 @@ def iter_trace_batches(trace: "ExecutionTraceLike",
                        chunk_steps: int = 65536) -> Iterator[EventBatch]:
     """Slice a recorded trace into :class:`EventBatch` chunks.
 
-    Lets batch consumers (:meth:`~repro.perfmodel.tables.CostTables
-    .from_batches`, :func:`~repro.stochastic.trace.assemble_trace`) run
-    off a stored trace exactly as they would off the streaming vector
+    Lets batch consumers (:func:`~repro.stochastic.trace.assemble_trace`,
+    :meth:`~repro.stochastic.trace.EventIndexBuilder.add_batch`) run off
+    a stored trace exactly as they would off the streaming vector
     kernel.  ``chunk_steps`` must be positive.
     """
     if chunk_steps < 1:

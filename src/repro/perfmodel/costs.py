@@ -21,10 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Every cost weight is a multiple of this (2⁻⁸): with integral block
+#: sizes every per-block price then lies on the same dyadic grid, so the
+#: perf model's sums are exact in any order (see
+#: :mod:`repro.perfmodel.tables`).
+COST_GRID = 2.0 ** -8
+
 
 @dataclass(frozen=True)
 class CostModel:
     """Per-mechanism cost weights (arbitrary units ≈ cycles).
+
+    Every weight must be a non-negative multiple of :data:`COST_GRID`.
 
     Attributes:
         interp_cost: per guest instruction, unoptimised execution.
@@ -45,8 +53,11 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in ("interp_cost", "profile_overhead", "opt_cost",
                      "side_exit_penalty", "translation_cost"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+            if not (value / COST_GRID).is_integer():
+                raise ValueError(f"{name} must be a multiple of 2**-8")
         if self.opt_cost > self.interp_cost:
             raise ValueError("optimised code must not be slower than "
                              "unoptimised code")

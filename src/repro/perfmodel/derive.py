@@ -70,9 +70,12 @@ def estimate_cost_measured(trace, tmap, program: Program,
 
     Identical to :func:`repro.perfmodel.execution.estimate_cost` except
     the optimised execution term uses per-block measured cycles instead
-    of ``opt_cost × size``.  ``tables`` is an optional precomputed
-    :class:`~repro.perfmodel.tables.CostTables` for this (trace,
-    program, costs) triple, shareable across translation maps.
+    of ``opt_cost × size``: a dot product of each block's optimised
+    executions with its measured cost.  Measured costs are off the
+    exact cost grid, so that term matches a per-step sum only to within
+    rounding; the other terms are exact.  ``tables`` is an optional
+    precomputed :class:`~repro.perfmodel.tables.CostTables` for this
+    (trace, program, costs) triple, shareable across translation maps.
     """
     from .execution import _breakdown
     from .tables import CostTables
@@ -85,4 +88,4 @@ def estimate_cost_measured(trace, tmap, program: Program,
         tables = CostTables(trace, sizes, costs)
     elif tables.num_steps != trace.num_steps:
         raise ValueError("tables were built from a different trace")
-    return _breakdown(tables, tmap, costs, measured[tables.blocks])
+    return _breakdown(tables, tmap, costs, measured[tables.block_ids])

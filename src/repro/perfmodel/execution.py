@@ -47,48 +47,42 @@ def _breakdown(tables: CostTables, tmap: TranslationMap, costs: CostModel,
                opt_price: np.ndarray) -> CostBreakdown:
     """Price one translation map against precomputed trace tables.
 
-    ``opt_price`` is the per-step cost of a step that runs optimised —
-    the flat ``tables.opt_price`` for the analytic model, or measured
-    per-block costs gathered over the trace for the derived model.
-    Every arithmetic operation here matches the historical per-call
-    estimator element for element, so totals are bit-identical.
+    ``opt_price`` is the per-executed-block cost of one optimised
+    execution — the flat ``tables.opt_price`` for the analytic model,
+    or measured per-block costs for the derived model.  With on-grid
+    prices (see :mod:`repro.perfmodel.tables`) every sum is exact, so
+    the totals equal the per-step sums bit for bit.
     """
-    blocks = tables.blocks
-    optimized = tmap.optimized_at[blocks] <= tables.positions
-
-    unopt_cost = float(np.sum(
-        np.where(~optimized, tables.unopt_price, 0.0)))
-    opt_cost = float(np.sum(np.where(optimized, opt_price, 0.0)))
+    n = tables.num_steps
+    before = tables.runs_before(tmap.optimized_at)
+    after = tables.use - before
 
     # Side exits: an optimised block whose *dynamic* successor edge is
     # not covered by any region's internal/back edges fell out of
     # translated code unexpectedly.  Exits from region tails are the
     # planned region exit and are free.
     num_side_exits = 0
-    if len(blocks) > 1 and tmap.internal_pairs:
-        inside = tables.edge_inside(tmap)
-        tails = np.zeros(tables.num_blocks, dtype=bool)
-        for block in tmap.tail_blocks:
-            tails[block] = True
-        side = optimized[:-1] & ~inside & ~tails[tables.src]
-        num_side_exits = int(np.sum(side))
-    side_cost = num_side_exits * costs.side_exit_penalty
+    if n > 1 and tmap.internal_pairs:
+        for i in np.flatnonzero(after):
+            num_side_exits += tables.exits_after(
+                i, int(before[i]), tmap.internal_pairs, tmap.tail_blocks)
 
     translation = float(tmap.instructions_translated(tables.sizes) *
                         costs.translation_cost)
 
     return CostBreakdown(
-        unoptimized=unopt_cost, optimized=opt_cost, side_exits=side_cost,
+        unoptimized=float(before @ tables.unopt_price),
+        optimized=float(after @ opt_price),
+        side_exits=num_side_exits * costs.side_exit_penalty,
         translation=translation, num_side_exits=num_side_exits,
-        optimized_fraction=(float(np.mean(optimized))
-                            if len(blocks) else 0.0))
+        optimized_fraction=int(after.sum()) / n if n else 0.0)
 
 
 def estimate_cost(trace: ExecutionTrace, tmap: TranslationMap,
                   block_sizes: Sequence[int],
                   costs: CostModel = DEFAULT_COSTS,
                   tables: Optional[CostTables] = None) -> CostBreakdown:
-    """Replay ``trace`` against the translation map and price every step.
+    """Price ``trace`` run under the translation map (Figure 17's model).
 
     Args:
         trace: the recorded run.

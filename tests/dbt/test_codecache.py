@@ -29,13 +29,6 @@ def test_map_contents():
     assert tmap.tail_blocks == {3}
 
 
-def test_internal_pair_codes_sorted():
-    tmap = TranslationMap(6, [_loop_region()], {})
-    codes = tmap.internal_pair_codes()
-    assert list(codes) == sorted(codes)
-    assert 2 * 6 + 3 in codes
-
-
 def test_instructions_translated_counts_duplicates():
     region_a = _loop_region()
     region_b = Region(region_id=1, kind=RegionKind.LINEAR, members=[2],

@@ -26,3 +26,11 @@ def test_optimized_slower_than_interp_rejected():
 def test_frozen():
     with pytest.raises(Exception):
         DEFAULT_COSTS.opt_cost = 0.0  # type: ignore[misc]
+
+
+def test_off_grid_weights_rejected():
+    with pytest.raises(ValueError, match="2\\*\\*-8"):
+        CostModel(interp_cost=0.1)
+    with pytest.raises(ValueError):
+        CostModel(side_exit_penalty=float("inf"))
+    CostModel(interp_cost=4.5, profile_overhead=1.25, opt_cost=0.75)
