@@ -14,12 +14,12 @@ flatter whichever side runs second; interleaved minima are the honest
 comparison.
 
 The headline ``walker`` section times the raw event kernels with no
-per-block index on either side (``CFGWalker.run`` vs
-``VecWalker.run_batches`` + assembly).  The secondary ``replay_ready``
-section times the full hand-off to the replay — trace plus per-block
-event index (built incrementally by the production
-:func:`~repro.stochastic.record_trace`, by one full argsort on the
-scalar path) — the denominator that matters for end-to-end study runs.
+per-block index on either side (``CFGWalker.run`` vs ``VecWalker.run``).
+The secondary ``replay_ready`` section times the full hand-off to the
+replay — trace plus per-block event index — the denominator that
+matters for end-to-end study runs.  Both sides build that index through
+the same ``trace.events()``, so the section differs from ``walker`` only
+by the shared index cost.
 
 The ``replay_path`` section races the *consumers* of that hand-off:
 the per-event scalar replay oracle
@@ -65,13 +65,12 @@ def bench_kernels(reps, scale, with_index=False):
 
     ``with_index=False`` races the raw kernels (no per-block event index
     on either side); ``with_index=True`` races the replay-ready hand-off
-    (trace *plus* index; the vector side via the public
-    :func:`record_trace` path).
+    (trace *plus* index, built by the same ``trace.events()`` on both
+    sides; the vector side via the public :func:`record_trace` path).
     """
     import numpy as np
 
-    from repro.stochastic import (CFGWalker, VecWalker, assemble_trace,
-                                  record_trace)
+    from repro.stochastic import CFGWalker, VecWalker, record_trace
 
     cells = list(_cells(scale))
     best = {label: [float("inf"), float("inf")] for label, _, _ in cells}
@@ -92,9 +91,7 @@ def bench_kernels(reps, scale, with_index=False):
                 t0 = time.perf_counter()
                 scalar = CFGWalker(cfg, behavior, seed=seed).run(steps)
                 t1 = time.perf_counter()
-                vector = assemble_trace(
-                    VecWalker(cfg, behavior, seed=seed).run_batches(steps),
-                    cfg.num_nodes, build_index=False)
+                vector = VecWalker(cfg, behavior, seed=seed).run(steps)
                 t2 = time.perf_counter()
             cell = best[label]
             cell[0] = min(cell[0], t1 - t0)

@@ -127,8 +127,7 @@ class ThresholdReplayState:
     """
 
     __slots__ = ("trace", "cfg", "config", "loops", "former", "freeze_step",
-                 "regions", "optimized", "optimization_events", "_events",
-                 "_tmap")
+                 "regions", "optimized", "optimization_events", "_tmap")
 
     def __init__(self, trace: ExecutionTrace, cfg: ControlFlowGraph,
                  config: DBTConfig, loops: LoopForest):
@@ -141,7 +140,6 @@ class ThresholdReplayState:
         self.regions: List[Region] = []
         self.optimized: Set[int] = set()
         self.optimization_events: List[Tuple[int, List[int]]] = []
-        self._events = trace.events()
         self._tmap: Optional[TranslationMap] = None
 
     def optimize_blocks(self, drained: List[int], now: int) -> Set[int]:
@@ -153,7 +151,8 @@ class ThresholdReplayState:
             inc("pool.evictions", len(drained) - len(pool_blocks))
         if not pool_blocks:
             return set()
-        counters = frozen_counter_view(self._events, self.freeze_step, now)
+        counters = frozen_counter_view(self.trace.events(), self.freeze_step,
+                                       now)
         with sampled_span("region.form", threshold=self.config.threshold,
                           blocks=len(pool_blocks)):
             result = self.former.form(
@@ -169,9 +168,9 @@ class ThresholdReplayState:
 
     def snapshot(self, input_name: str = "ref") -> ProfileSnapshot:
         """The INIP(T) profile of this threshold's finished state."""
-        return snapshot_from_state(self.trace, self._events, self.config,
-                                   self.freeze_step, self.regions,
-                                   input_name)
+        return snapshot_from_state(self.trace, self.trace.events(),
+                                   self.config, self.freeze_step,
+                                   self.regions, input_name)
 
     def translation_map(self) -> TranslationMap:
         """The code-cache summary for the perf model (cached)."""
@@ -223,11 +222,13 @@ class MultiThresholdReplay:
         if self._ran:
             return self
         self._ran = True
-        events = self.trace.events()
         states = [self.states[t] for t in self.thresholds]
         windows = 0
         swept = 0
         with span("replay.multi_run", thresholds=len(states)):
+            # The trace's one index build (lazy since recording) lands
+            # here, inside the replay's span.
+            events = self.trace.events()
             for state in states:
                 stats = run_batched_replay(
                     registration_positions(events, state.config.threshold),

@@ -5,9 +5,8 @@ executes programs while emitting the block/branch event stream
 (:class:`ExecutionListener`) that profilers and the live translator consume.
 """
 
-from .events import (BatchListener, EventBatch, ExecutionListener,
-                     NullListener, RecordingListener, TeeListener,
-                     iter_trace_batches, replay_batches)
+from .events import (ExecutionListener, NullListener, RecordingListener,
+                     TeeListener)
 from .interpreter import (DEFAULT_STEP_LIMIT, Interpreter, RunResult,
                           run_program)
 from .machine import (DEFAULT_MAX_CALL_DEPTH, DEFAULT_MEMORY_WORDS, Frame,
@@ -15,8 +14,7 @@ from .machine import (DEFAULT_MAX_CALL_DEPTH, DEFAULT_MEMORY_WORDS, Frame,
 
 __all__ = [
     "DEFAULT_MAX_CALL_DEPTH", "DEFAULT_MEMORY_WORDS", "DEFAULT_STEP_LIMIT",
-    "BatchListener", "EventBatch", "ExecutionListener", "Frame",
-    "Interpreter", "MachineState", "NullListener", "RecordingListener",
-    "RunResult", "TeeListener", "iter_trace_batches", "replay_batches",
+    "ExecutionListener", "Frame", "Interpreter", "MachineState",
+    "NullListener", "RecordingListener", "RunResult", "TeeListener",
     "run_program",
 ]

@@ -4,16 +4,14 @@ Subcommands::
 
     python -m repro.obs report            # newest cached run's report
     python -m repro.obs report --list     # every cached run, newest first
-    python -m repro.obs report --run x.json --json --prom metrics.prom
+    python -m repro.obs report --run x.json --json
     python -m repro.obs diff old.json new.json --threshold 10
-    python -m repro.obs prom --out metrics.prom
     python -m repro.obs catalog --markdown
 
 ``report`` renders a run's manifest with its phase-attribution and
 dispatch-breakdown tables; ``diff`` compares two runs (or a run against
 a ``BENCH_*.json`` baseline) and exits non-zero on regressions beyond
-the threshold; ``prom`` exports a metrics snapshot as a Prometheus
-textfile; ``catalog`` prints the documented instrument table.
+the threshold; ``catalog`` prints the documented instrument table.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Report on, diff and export study-run observability "
+        description="Report on and diff study-run observability "
                     "artifacts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -56,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="list every cached run instead of reporting")
     rep.add_argument("--json", action="store_true",
                      help="print the manifest as JSON instead of tables")
-    rep.add_argument("--prom", default=None, metavar="PATH",
-                     help="also write the run's metrics snapshot as a "
-                          "Prometheus textfile to PATH")
 
     dif = sub.add_parser(
         "diff", help="compare two runs (or a run vs a BENCH_*.json "
@@ -72,16 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     dif.add_argument("--all", action="store_true",
                      help="show every comparable metric, not only "
                           "regressions")
-
-    prom = sub.add_parser(
-        "prom", help="export a metrics snapshot in Prometheus textfile "
-                     "format")
-    prom.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="cache directory (default: the study cache)")
-    prom.add_argument("--run", default=None, metavar="PATH",
-                      help="run artifact to export (default: newest)")
-    prom.add_argument("--out", default=None, metavar="PATH",
-                      help="write to PATH instead of stdout")
 
     cat = sub.add_parser(
         "catalog", help="print the documented instrument catalog")
@@ -101,11 +86,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(json.dumps(manifest, indent=2, default=str))
     else:
         print(report.render_report(path))
-    if args.prom:
-        metrics = (manifest or {}).get("metrics") or {}
-        with open(args.prom, "w") as handle:
-            handle.write(report.prometheus_text(metrics))
-        print(f"wrote {args.prom}", file=sys.stderr)
     return 0
 
 
@@ -135,20 +115,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return EXIT_REGRESSION if regressed else 0
 
 
-def _cmd_prom(args: argparse.Namespace) -> int:
-    cache_dir = args.cache_dir or _default_cache_dir()
-    path = report.resolve_run(args.run, cache_dir)
-    manifest, _ = report.report_sections(path)
-    text = report.prometheus_text((manifest or {}).get("metrics") or {})
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text, end="")
-    return 0
-
-
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.markdown:
         print(catalog.markdown_table())
@@ -163,7 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         handler = {"report": _cmd_report, "diff": _cmd_diff,
-                   "prom": _cmd_prom, "catalog": _cmd_catalog}[args.command]
+                   "catalog": _cmd_catalog}[args.command]
         return handler(args)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)

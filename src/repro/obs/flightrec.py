@@ -90,11 +90,6 @@ class FlightRecorder:
         """Drop every buffered event (sequence numbers keep counting)."""
         self._ring.clear()
 
-    def restore(self, events: List[Dict[str, Any]]) -> None:
-        """Replace the ring contents, keeping the newest ``capacity``."""
-        self._ring.clear()
-        self._ring.extend(events[-self.capacity:])
-
     def __len__(self) -> int:
         return len(self._ring)
 

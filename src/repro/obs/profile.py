@@ -130,7 +130,6 @@ PHASE_OF_SPAN: Dict[str, str] = {
     # trace recording
     "workload.build": "workload-build",
     "kernel.record_trace": "walker",
-    "kernel.assemble": "walker",
     "record_traces": "walker",
     # replay pipeline
     "replay.multi_run": "replay-walk",
@@ -148,9 +147,7 @@ PHASE_OF_SPAN: Dict[str, str] = {
     "cache.load_shard": "cache-io",
     "cache.save_aggregate": "cache-io",
     "cache.load_aggregate": "cache-io",
-    "cache.save_results": "cache-io",
     # dispatch machinery
-    "dispatch.serialize": "dispatch",
     "dispatch.merge": "dispatch",
     "dispatch.wait": "dispatch-wait",
     "pool_rebuild": "dispatch",

@@ -1,4 +1,4 @@
-"""Run reporting: aggregate manifests, diff runs, export Prometheus text.
+"""Run reporting: aggregate manifests and diff runs.
 
 The study cache accumulates one ``study-<fingerprint>.json`` aggregate
 per run configuration, each carrying the run manifest (timings, metric
@@ -6,8 +6,7 @@ snapshot, phase profile, dispatch breakdown).  This module is the
 read-side: ``python -m repro.obs report`` finds those aggregates,
 renders the hotspot and dispatch tables for one of them, ``diff``
 compares two runs (or a run against a ``BENCH_*.json`` baseline) with
-regression thresholds, and ``prom`` exports a metrics snapshot in
-Prometheus textfile exposition format for scrape-based dashboards.
+regression thresholds.
 
 Everything here reads plain JSON files — no harness import, so the
 report CLI works on artifacts copied off a CI runner with nothing else
@@ -19,7 +18,6 @@ from __future__ import annotations
 import glob
 import json
 import os
-import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from .manifest import render_manifest
@@ -356,52 +354,6 @@ def render_diff_extras(flag_rows: List[Dict[str, Any]],
             lines.append(f"  {len(keys)} {side}-only key(s) not "
                          f"compared: {shown}{more}")
     return "\n".join(lines)
-
-
-# -- Prometheus textfile export -----------------------------------------------
-
-_PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def prom_name(name: str) -> str:
-    """A metric name sanitised for the Prometheus exposition format."""
-    sanitised = _PROM_NAME_RE.sub("_", name)
-    if sanitised and sanitised[0].isdigit():
-        sanitised = "_" + sanitised
-    return f"repro_{sanitised}"
-
-
-def prometheus_text(snapshot: Dict[str, Dict[str, Any]]) -> str:
-    """A metrics snapshot in Prometheus textfile exposition format.
-
-    Counters export as ``counter``, gauges as ``gauge``, histograms as
-    ``summary`` (count/sum plus the snapshot's fixed quantiles) — the
-    shape node_exporter's textfile collector ingests directly.
-    """
-    lines: List[str] = []
-    for name, value in sorted((snapshot.get("counters") or {}).items()):
-        metric = prom_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    for name, value in sorted((snapshot.get("gauges") or {}).items()):
-        if value is None:
-            continue
-        metric = prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value}")
-    for name, summary in sorted((snapshot.get("histograms") or {}).items()):
-        if not summary.get("count"):
-            continue
-        metric = prom_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        for pct, quantile in (("p50", "0.5"), ("p90", "0.9"),
-                              ("p99", "0.99")):
-            if pct in summary:
-                lines.append(f'{metric}{{quantile="{quantile}"}} '
-                             f'{summary[pct]}')
-        lines.append(f"{metric}_count {summary['count']}")
-        lines.append(f"{metric}_sum {summary.get('sum', 0)}")
-    return "\n".join(lines) + "\n"
 
 
 # -- the report itself --------------------------------------------------------

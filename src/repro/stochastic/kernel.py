@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..cfg.graph import ControlFlowGraph
 from ..obs.spans import span
 from .behavior import ProgramBehavior
-from .trace import ExecutionTrace, assemble_trace
+from .trace import ExecutionTrace
 from .vecwalker import VecWalker
 
 
@@ -21,12 +21,9 @@ def record_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,
                  max_steps: int, seed: int = 0) -> ExecutionTrace:
     """Record one run of ``cfg`` under ``behavior``.
 
-    The event batches stream through
-    :func:`~repro.stochastic.trace.assemble_trace`, so the per-block
-    event index arrives pre-built chunk by chunk and ``trace.events()``
-    is free for the replay consumers.
+    The per-block event index stays lazy: the replay builds it on first
+    use, and a training trace, of which a study reads only the whole-run
+    counters, never pays for it.
     """
     with span("kernel.record_trace", steps=int(max_steps)):
-        walker = VecWalker(cfg, behavior, seed=seed)
-        return assemble_trace(walker.run_batches(max_steps),
-                              cfg.num_nodes, build_index=True)
+        return VecWalker(cfg, behavior, seed=seed).run(max_steps)

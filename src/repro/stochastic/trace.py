@@ -78,14 +78,23 @@ class ExecutionTrace:
 
     def __init__(self, blocks: np.ndarray, taken: np.ndarray,
                  num_blocks: int):
-        blocks = np.asarray(blocks, dtype=np.int32)
-        taken = np.asarray(taken, dtype=np.int8)
+        blocks = np.asarray(blocks)
+        taken = np.asarray(taken)
         if blocks.shape != taken.shape or blocks.ndim != 1:
             raise TraceError("blocks/taken must be parallel 1-D arrays")
-        if len(blocks) and (blocks.min() < 0 or blocks.max() >= num_blocks):
-            raise TraceError("block id outside [0, num_blocks)")
-        self.blocks = blocks
-        self.taken = taken
+        if not 0 <= num_blocks <= np.iinfo(np.int32).max + 1:
+            raise TraceError(f"num_blocks {num_blocks} outside int32 ids")
+        # Range-check in the caller's dtype: the narrowing casts below
+        # (and the index's sort key) are exact only for checked values.
+        if len(blocks):
+            if blocks.dtype.kind not in "biu" or taken.dtype.kind not in "biu":
+                raise TraceError("blocks/taken must be integer arrays")
+            if blocks.min() < 0 or blocks.max() >= num_blocks:
+                raise TraceError("block id outside [0, num_blocks)")
+            if taken.min() < NO_BRANCH or taken.max() > 1:
+                raise TraceError("branch outcome outside {-1, 0, 1}")
+        self.blocks = blocks.astype(np.int32, copy=False)
+        self.taken = taken.astype(np.int8, copy=False)
         self.num_blocks = int(num_blocks)
         self._events: Optional[Dict[int, BlockEvents]] = None
 
@@ -123,28 +132,27 @@ class ExecutionTrace:
             self._events = self._build_events()
         return self._events
 
-    def attach_events(self, events: Dict[int, BlockEvents]) -> None:
-        """Install a pre-built per-block event index.
-
-        The streaming producers (:class:`EventIndexBuilder` fed by the
-        vector kernel) index events chunk by chunk as
-        the trace is generated; attaching the result here lets every
-        consumer skip the full-trace argsort of :meth:`events`.  The index
-        must describe exactly this trace — a cheap total-step check guards
-        against the obvious mixups, and the differential tests pin exact
-        equality with :meth:`_build_events`.
-        """
-        total = sum(ev.use for ev in events.values())
-        if total != len(self.blocks):
-            raise TraceError(
-                f"event index covers {total} steps, trace has "
-                f"{len(self.blocks)}")
-        self._events = events
-
     def _build_events(self) -> Dict[int, BlockEvents]:
-        builder = EventIndexBuilder(self.num_blocks)
-        builder.add(self.blocks, self.taken)
-        return builder.finalize()
+        # One stable argsort groups the whole run by block.  Keyed on the
+        # narrowest unsigned type that holds every id (uint8 for every
+        # suite CFG), numpy sorts by radix instead of timsort.  Each
+        # block's steps are a view of that one order array.
+        if not len(self.blocks):
+            return {}
+        key = self.blocks.astype(np.min_scalar_type(max(self.num_blocks - 1,
+                                                        0)))
+        order = np.argsort(key, kind="stable").astype(np.int64, copy=False)
+        is_taken = self.taken[order] == 1
+        counts = np.bincount(self.blocks, minlength=self.num_blocks)
+        ends = np.cumsum(counts)
+        events: Dict[int, BlockEvents] = {}
+        for bid in np.flatnonzero(counts).tolist():
+            hi = int(ends[bid])
+            lo = hi - int(counts[bid])
+            prefix = np.zeros(hi - lo + 1, dtype=np.int64)
+            np.cumsum(is_taken[lo:hi], out=prefix[1:])
+            events[bid] = BlockEvents(steps=order[lo:hi], taken_prefix=prefix)
+        return events
 
     def edge_counts(self) -> Dict[Tuple[int, int], int]:
         """Dynamic traversal count of every executed control-flow edge."""
@@ -222,103 +230,4 @@ class ExecutionTrace:
     def from_sequences(cls, blocks: Sequence[int], taken: Sequence[int],
                        num_blocks: int) -> "ExecutionTrace":
         """Build a trace from plain Python sequences (tests, examples)."""
-        return cls(np.asarray(blocks, dtype=np.int32),
-                   np.asarray(taken, dtype=np.int8), num_blocks)
-
-
-class EventIndexBuilder:
-    """Incrementally builds the per-block event index from event chunks.
-
-    The whole-trace :meth:`ExecutionTrace._build_events` is one stable
-    argsort over the full run; this builder performs the same grouping one
-    chunk at a time (each chunk's local argsort shifted by the global step
-    offset), so the streaming vector kernel can maintain counter tables
-    without ever materialising a second full-length array.
-    :meth:`finalize` concatenates each block's per-chunk pieces — chunks
-    arrive in step order, so the concatenation is already sorted — and
-    produces a dict **identical** to ``_build_events`` on the
-    concatenated trace (the differential suite pins this).
-    """
-
-    def __init__(self, num_blocks: int):
-        self.num_blocks = int(num_blocks)
-        self._offset = 0
-        self._steps: Dict[int, list] = {}
-        self._outcomes: Dict[int, list] = {}
-
-    @property
-    def num_steps(self) -> int:
-        """Total steps indexed so far."""
-        return self._offset
-
-    def add(self, blocks: np.ndarray, taken: np.ndarray) -> None:
-        """Index one chunk of parallel ``blocks``/``taken`` arrays.
-
-        The per-event work is all bulk numpy: one stable argsort groups
-        the chunk by block, then the shifted step array and the 0/1
-        outcome array are built whole-chunk; the only Python loop slices
-        *views* of those arrays per present block.
-        """
-        n = len(blocks)
-        if n == 0:
-            return
-        order = np.argsort(blocks, kind="stable")
-        sorted_blocks = blocks[order]
-        steps = order.astype(np.int64)
-        steps += self._offset
-        outcomes = (taken[order] == 1).astype(np.int64)
-        boundaries = np.flatnonzero(np.diff(sorted_blocks)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-        ends = np.append(boundaries, n)
-        for j, bid in enumerate(sorted_blocks[starts]):
-            bid = int(bid)
-            lo, hi = starts[j], ends[j]
-            self._steps.setdefault(bid, []).append(steps[lo:hi])
-            self._outcomes.setdefault(bid, []).append(outcomes[lo:hi])
-        self._offset += n
-
-    def add_batch(self, batch) -> None:
-        """Index one :class:`repro.interp.events.EventBatch`."""
-        self.add(batch.blocks, batch.taken)
-
-    def finalize(self) -> Dict[int, BlockEvents]:
-        """Assemble the per-block index from the accumulated chunks."""
-        events: Dict[int, BlockEvents] = {}
-        for bid, pieces in self._steps.items():
-            steps = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            outs = self._outcomes[bid]
-            outcomes = outs[0] if len(outs) == 1 else np.concatenate(outs)
-            prefix = np.zeros(len(steps) + 1, dtype=np.int64)
-            np.cumsum(outcomes, out=prefix[1:])
-            events[bid] = BlockEvents(steps=steps, taken_prefix=prefix)
-        return events
-
-
-def assemble_trace(batches, num_blocks: int,
-                   build_index: bool = True) -> ExecutionTrace:
-    """Concatenate an event-batch stream into an :class:`ExecutionTrace`.
-
-    ``batches`` is any iterable of objects with parallel ``blocks`` /
-    ``taken`` arrays (duck-typed so callers can pass
-    :class:`repro.interp.events.EventBatch` chunks or raw pairs).  With
-    ``build_index`` the per-block event index is built incrementally
-    during the same pass and attached, so ``trace.events()`` is free.
-    """
-    chunks_blocks = []
-    chunks_taken = []
-    builder = EventIndexBuilder(num_blocks) if build_index else None
-    for batch in batches:
-        chunks_blocks.append(batch.blocks)
-        chunks_taken.append(batch.taken)
-        if builder is not None:
-            builder.add(batch.blocks, batch.taken)
-    if chunks_blocks:
-        blocks = np.concatenate(chunks_blocks)
-        taken = np.concatenate(chunks_taken)
-    else:
-        blocks = np.zeros(0, dtype=np.int32)
-        taken = np.zeros(0, dtype=np.int8)
-    trace = ExecutionTrace(blocks, taken, num_blocks)
-    if builder is not None:
-        trace.attach_events(builder.finalize())
-    return trace
+        return cls(np.asarray(blocks), np.asarray(taken), num_blocks)

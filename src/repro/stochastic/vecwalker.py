@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cfg.graph import ControlFlowGraph
-from ..interp.events import EventBatch
 from ..obs import inc
 from .behavior import BranchBehavior, ProgramBehavior
 from .trace import NO_BRANCH, ExecutionTrace
@@ -57,8 +56,10 @@ SEG_EXIT = -1
 #: ``seg_branch`` sentinel: the segment enters a branch-free cycle.
 SEG_CYCLE = -2
 
-#: Default chunk granularity (steps per emitted :class:`EventBatch`).
-DEFAULT_CHUNK_STEPS = 1 << 16
+#: Steps between flushes of the decided segments into event arrays; a
+#: flush bounds the slow path's token list (a layout detail: flush
+#: boundaries never affect event content).
+_FLUSH_STEPS = 1 << 16
 
 #: Uniform-draw granularity for the bulk RNG stream.
 _DRAW = 1 << 14
@@ -154,19 +155,13 @@ class VecWalker:
         behavior: per-branch taken-probability models.
         seed: RNG seed — the same seed as :class:`CFGWalker` produces the
             same trace, by construction.
-        chunk_steps: approximate steps per emitted batch (chunks may
-            overshoot by one speculation window; boundaries never affect
-            event content).
     """
 
     def __init__(self, cfg: ControlFlowGraph, behavior: ProgramBehavior,
-                 seed: int = 0, chunk_steps: int = DEFAULT_CHUNK_STEPS):
-        if chunk_steps < 1:
-            raise ValueError(f"chunk_steps must be >= 1, got {chunk_steps}")
+                 seed: int = 0):
         self.cfg = cfg
         self.behavior = behavior
         self.seed = seed
-        self.chunk_steps = int(chunk_steps)
         self._compile()
 
     # -- compilation -----------------------------------------------------------
@@ -323,31 +318,8 @@ class VecWalker:
             start: Optional[int] = None) -> ExecutionTrace:
         """Walk the CFG for up to ``max_steps`` block executions.
 
-        The per-block event index stays lazy (as with the scalar walker);
-        streaming consumers that want counter tables per chunk should
-        iterate :meth:`run_batches` into an
-        :class:`~repro.stochastic.trace.EventIndexBuilder` instead —
-        that is what :func:`~repro.stochastic.kernel.record_trace` does.
-        """
-        chunks_blocks: List[np.ndarray] = []
-        chunks_taken: List[np.ndarray] = []
-        for batch in self.run_batches(max_steps, start=start):
-            chunks_blocks.append(batch.blocks)
-            chunks_taken.append(batch.taken)
-        if chunks_blocks:
-            blocks = np.concatenate(chunks_blocks)
-            taken = np.concatenate(chunks_taken)
-        else:
-            blocks = np.zeros(0, dtype=np.int32)
-            taken = np.zeros(0, dtype=np.int8)
-        return ExecutionTrace(blocks, taken, self.cfg.num_nodes)
-
-    def run_batches(self, max_steps: int,
-                    start: Optional[int] = None) -> Iterator[EventBatch]:
-        """Generate the event stream as :class:`EventBatch` chunks.
-
-        Concatenating the chunks yields exactly the scalar walker's
-        arrays; chunk boundaries are a delivery detail.
+        The per-block event index stays lazy, as with the scalar walker:
+        ``trace.events()`` builds it on first use.
         """
         max_steps = int(max_steps)
         seg_len = self._seg_len
@@ -355,7 +327,6 @@ class VecWalker:
         seg_off_np = self._seg_off_np
         flat_blocks = self._flat_blocks
         seg_info = self._seg_info
-        chunk_steps = self.chunk_steps
 
         # Per-run mutable behaviour state (compile state is never touched).
         cur_p = list(self._cur_p0)
@@ -383,7 +354,6 @@ class VecWalker:
 
         v = self.cfg.entry if start is None else start
         g = 0
-        chunk_start = 0
         # Decided segments accumulate as (starts, outcomes) array pieces,
         # interleaved with (lo, hi) index markers into ``slow_t`` for the
         # slow-path token runs (decoded in one pass per chunk).
@@ -398,18 +368,20 @@ class VecWalker:
         slow_decisions = 0
         window_decisions = 0
         num_chunks = 0
+        out_blocks: List[np.ndarray] = []
+        out_taken: List[np.ndarray] = []
 
-        def build_batch() -> Optional[EventBatch]:
+        def flush() -> None:
             # Slow-path tokens accumulate per chunk in one flat list;
             # sealing a run (window commit) only records an (lo, hi)
             # marker in ``pieces`` and the whole chunk is decoded here in
             # a single numpy pass, with the markers resolved as views.
-            nonlocal slow_decisions, slow_lo
+            nonlocal slow_decisions, slow_lo, num_chunks
             ns = len(slow_t)
             if ns > slow_lo:
                 pieces.append((slow_lo, ns))
             if not pieces and tail_node < 0 and tail_raw is None:
-                return None
+                return
             if ns:
                 slow_decisions += ns
                 arr = np.asarray(slow_t, dtype=np.int64)
@@ -448,9 +420,11 @@ class VecWalker:
                 taken = np.concatenate([
                     taken, np.full(len(tail_raw), NO_BRANCH, dtype=np.int8)])
             pieces.clear()
-            return EventBatch(blocks=blocks, taken=taken)
+            out_blocks.append(blocks)
+            out_taken.append(taken)
+            num_chunks += 1
 
-        chunk_limit = chunk_steps
+        chunk_limit = _FLUSH_STEPS
         while not done and g < max_steps:
             L, b, nf, nt, pat = seg_info[v]
             if pat is not None:
@@ -512,11 +486,8 @@ class VecWalker:
                             v = nf
                         window_decisions += acc
                         if g >= chunk_limit:
-                            batch = build_batch()
-                            if batch is not None:
-                                num_chunks += 1
-                                yield batch
-                            chunk_limit = g + chunk_steps
+                            flush()
+                            chunk_limit = g + _FLUSH_STEPS
                         continue
                 else:
                     # ---- vectorized loop window ----
@@ -611,11 +582,8 @@ class VecWalker:
                         v = int(starts_flat[acc - 1])
                         window_decisions += acc
                         if g >= chunk_limit:
-                            batch = build_batch()
-                            if batch is not None:
-                                num_chunks += 1
-                                yield batch
-                            chunk_limit = g + chunk_steps
+                            flush()
+                            chunk_limit = g + _FLUSH_STEPS
                         continue
 
             # ---- per-decision slow path ----
@@ -653,11 +621,8 @@ class VecWalker:
                 ci += 1
                 g = end
                 if g >= chunk_limit:
-                    batch = build_batch()
-                    if batch is not None:
-                        num_chunks += 1
-                        yield batch
-                    chunk_limit = g + chunk_steps
+                    flush()
+                    chunk_limit = g + _FLUSH_STEPS
                 continue
 
             # ---- terminal: exit, branch-free cycle, or step budget ----
@@ -677,10 +642,7 @@ class VecWalker:
             g += min(L, remaining) if tail_raw is None else remaining
             done = True
 
-        batch = build_batch()
-        if batch is not None:
-            num_chunks += 1
-            yield batch
+        flush()
 
         inc("kernel.vector.runs")
         inc("kernel.vector.steps", g)
@@ -688,9 +650,9 @@ class VecWalker:
         inc("kernel.vector.decisions", slow_decisions + window_decisions)
         inc("kernel.vector.decisions.window", window_decisions)
         inc("kernel.vector.decisions.slow", slow_decisions)
-
-
-def vec_walk(cfg: ControlFlowGraph, behavior: ProgramBehavior,
-             max_steps: int, seed: int = 0) -> ExecutionTrace:
-    """One-shot convenience wrapper around :class:`VecWalker`."""
-    return VecWalker(cfg, behavior, seed=seed).run(max_steps)
+        if not out_blocks:
+            return ExecutionTrace(np.zeros(0, dtype=np.int32),
+                                  np.zeros(0, dtype=np.int8),
+                                  self.cfg.num_nodes)
+        return ExecutionTrace(np.concatenate(out_blocks),
+                              np.concatenate(out_taken), self.cfg.num_nodes)

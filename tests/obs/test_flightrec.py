@@ -40,14 +40,6 @@ def test_capacity_env_override(monkeypatch):
         flightrec.FlightRecorder()
 
 
-def test_restore_replaces_contents_and_respects_capacity():
-    recorder = flightrec.FlightRecorder(capacity=2)
-    recorder.record("log", "mine")
-    recorder.restore([{"name": f"theirs-{i}"} for i in range(4)])
-    assert [e["name"] for e in recorder.export()] == \
-        ["theirs-2", "theirs-3"]
-
-
 def test_colliding_payload_fields_are_prefixed_not_dropped():
     recorder = flightrec.FlightRecorder(capacity=4)
     recorder.record("log", "fault", kind="crash", detail="x")

@@ -1,7 +1,11 @@
 """Phase profiler: exclusive-time sweep, coverage, sampling, gating."""
 
+import pathlib
+import re
+
 import pytest
 
+from repro.obs import profile as profile_module
 from repro.obs.profile import (PHASE_OF_SPAN, PhaseProfile, phase_of,
                                profile_span, profiling_enabled,
                                reset_sampling, resolve_profile,
@@ -110,6 +114,18 @@ def test_every_harness_span_name_maps_to_a_phase():
                  "threshold_sweep", "perf_model", "dispatch.wait",
                  "dispatch.merge", "cache.save_shard"):
         assert name in PHASE_OF_SPAN
+
+
+def test_every_mapped_span_name_is_emitted():
+    # The converse: a mapping whose span nothing opens is dead weight
+    # that hides a rename on the emitting side.
+    own = pathlib.Path(profile_module.__file__)
+    emitted = set()
+    for path in own.parents[1].rglob("*.py"):
+        if path != own:
+            emitted.update(re.findall(r'span\("([^"]+)"',
+                                      path.read_text(encoding="utf-8")))
+    assert sorted(set(PHASE_OF_SPAN) - emitted) == []
 
 
 # -- profiling mode and sampling ----------------------------------------------

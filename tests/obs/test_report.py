@@ -200,26 +200,6 @@ def test_run_flags_reads_top_level_list():
     assert report.run_flags({}) == []
 
 
-# -- Prometheus export --------------------------------------------------------
-
-
-def test_prometheus_text_exposition_shape():
-    text = report.prometheus_text(_manifest()["metrics"])
-    assert "# TYPE repro_replay_runs_total counter" in text
-    assert "repro_replay_runs_total 4" in text
-    assert "# TYPE repro_profile_coverage gauge" in text
-    assert 'repro_dispatch_execute_seconds{quantile="0.99"} 0.6' in text
-    assert "repro_dispatch_execute_seconds_count 2" in text
-    # empty histograms and unset gauges are skipped
-    assert "repro_empty" not in text
-    assert "repro_unset" not in text
-
-
-def test_prom_name_sanitises():
-    assert report.prom_name("a.b-c") == "repro_a_b_c"
-    assert report.prom_name("0day") == "repro__0day"
-
-
 # -- the CLI ------------------------------------------------------------------
 
 
@@ -240,13 +220,6 @@ def test_cli_report_list(cache, capsys):
 def test_cli_report_missing_cache(tmp_path, capsys):
     assert main(["report", "--cache-dir", str(tmp_path)]) == 2
     assert "no run aggregates" in capsys.readouterr().err
-
-
-def test_cli_prom_writes_textfile(cache, tmp_path, capsys):
-    out = str(tmp_path / "metrics.prom")
-    assert main(["prom", "--cache-dir", cache, "--out", out]) == 0
-    with open(out) as handle:
-        assert "repro_replay_runs_total 4" in handle.read()
 
 
 def test_cli_diff_exit_codes(cache, tmp_path, capsys):

@@ -72,6 +72,16 @@ def test_validation():
         ExecutionTrace(np.zeros(3, np.int32), np.zeros(2, np.int8), 1)
 
 
+@pytest.mark.parametrize("blocks, taken", [
+    ([0, 2**32 + 1], [-1, -1]),  # wraps to block 1 under an int32 cast
+    ([0, 1], [-1, 257]),         # wraps to outcome 1 under an int8 cast
+    ([0, 1], [-1, 5]),           # not an outcome at all
+])
+def test_validation_precedes_narrowing(blocks, taken):
+    with pytest.raises(TraceError):
+        ExecutionTrace(np.array(blocks), np.array(taken), num_blocks=2)
+
+
 def test_save_load_roundtrip(tmp_path):
     trace = _tiny_trace()
     path = str(tmp_path / "trace.npz")

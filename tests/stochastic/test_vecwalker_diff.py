@@ -4,35 +4,44 @@ Every test here asserts the same contract from a different angle: for
 the same (CFG, behaviour, seed), :class:`VecWalker` produces an event
 stream byte-identical to :class:`CFGWalker` — same blocks, same branch
 outcomes, same counter tables, same per-block event index, same replay
-regions — regardless of chunk size or which vectorized fast path the
-input happens to exercise.
+regions — regardless of where the kernel flushes its decided segments or
+which vectorized fast path the input happens to exercise.
 
 The hypothesis tests fuzz arbitrary CFG shapes and behaviour mixes; the
-named tests pin the structural edge cases (chunk boundaries at 1 /
+named tests pin the structural edge cases (flush boundaries at 1 /
 prime / beyond the run length, warm-up expiry mid-chunk, phase changes
 mid-window, single-successor cycles, immediate exits, start overrides).
+The per-block event index is checked against a brute-force rebuild.
 """
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
 from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
-from repro.stochastic import (CFGWalker, ProgramBehavior, VecWalker,
-                              assemble_trace, drifting,
-                              numpy_uniform_stream, phased, steady, vec_walk,
-                              warmup)
-from repro.stochastic.trace import EventIndexBuilder
+from repro.obs.registry import counter_value
+from repro.stochastic import (CFGWalker, ExecutionTrace, ProgramBehavior,
+                              VecWalker, drifting, numpy_uniform_stream,
+                              phased, record_trace, steady, vecwalker, warmup)
 from tests.oracles import oracle_replay
 
-# Chunk sizes straddling every interesting boundary: degenerate (1),
-# prime (so chunk edges never align with loop periods), and larger than
-# any run these tests record.
+# Flush granularities straddling every interesting boundary: degenerate
+# (1), prime (so flush edges never align with loop periods), and larger
+# than any run these tests record.
 CHUNKS = (1, 13, 4096, 10**6)
+
+
+@contextmanager
+def flush_every(chunk):
+    """Run the vector kernel with its flush granularity set to ``chunk``."""
+    with mock.patch.object(vecwalker, "_FLUSH_STEPS", chunk):
+        yield
 
 
 def scalar_trace(cfg, behavior, steps, seed, start=None):
@@ -40,8 +49,8 @@ def scalar_trace(cfg, behavior, steps, seed, start=None):
 
 
 def vector_trace(cfg, behavior, steps, seed, chunk, start=None):
-    walker = VecWalker(cfg, behavior, seed=seed, chunk_steps=chunk)
-    return walker.run(steps, start=start)
+    with flush_every(chunk):
+        return VecWalker(cfg, behavior, seed=seed).run(steps, start=start)
 
 
 def assert_traces_equal(scalar, vector, label=""):
@@ -239,52 +248,92 @@ def test_degenerate_shapes():
                                     f"steps={steps} chunk={chunk}")
 
 
-def test_vec_walk_convenience_matches_walk():
-    cfg = ControlFlowGraph([(0, 1), ()])
-    behavior = ProgramBehavior()
-    behavior.set(0, steady(0.7))
-    scalar = scalar_trace(cfg, behavior, 500, seed=9)
-    vector = vec_walk(cfg, behavior, max_steps=500, seed=9)
-    assert_traces_equal(scalar, vector)
+def test_flush_granularity_is_live(nested_cfg, nested_behavior):
+    """Patching the flush constant really changes how often the kernel
+    flushes, so the boundary cases above exercise what they claim."""
+    flushes = []
+    for chunk in (1, 10**6):
+        before = counter_value("kernel.vector.chunks")
+        vector_trace(nested_cfg, nested_behavior, 5_000, 1, chunk)
+        flushes.append(counter_value("kernel.vector.chunks") - before)
+    assert flushes[0] > 100 and flushes[1] == 1
 
 
 # ---------------------------------------------------------------------------
-# Streaming consumers: batches, incremental index, replay over streams.
+# The per-block event index against a brute-force rebuild.
 # ---------------------------------------------------------------------------
 
-def test_streamed_batches_reassemble_exactly(nested_cfg, nested_behavior):
-    """Concatenated run_batches output == run() == scalar oracle, and
-    batch boundaries cover the trace with no gaps or overlaps."""
-    walker = VecWalker(nested_cfg, nested_behavior, seed=4, chunk_steps=777)
-    batches = list(walker.run_batches(40_000))
-    scalar = scalar_trace(nested_cfg, nested_behavior, 40_000, seed=4)
-
-    pos = 0
-    for batch in batches:
-        np.testing.assert_array_equal(
-            scalar.blocks[pos:pos + len(batch.blocks)], batch.blocks)
-        np.testing.assert_array_equal(
-            scalar.taken[pos:pos + len(batch.taken)], batch.taken)
-        pos += len(batch.blocks)
-    assert pos == scalar.num_steps
+def assert_index_is_brute_force(trace):
+    """``trace.events()`` equals per-block ``flatnonzero`` + ``cumsum``:
+    same keys, same values, ``int64`` steps and prefix."""
+    blocks, taken = trace.blocks, trace.taken
+    index = trace.events()
+    assert sorted(index) == np.unique(blocks).tolist()
+    for block, ev in index.items():
+        steps = np.flatnonzero(blocks == block)
+        prefix = np.concatenate(([0], np.cumsum(taken[steps] == 1)))
+        assert ev.steps.dtype == np.int64
+        assert ev.taken_prefix.dtype == np.int64
+        np.testing.assert_array_equal(ev.steps, steps)
+        np.testing.assert_array_equal(ev.taken_prefix, prefix)
 
 
-def test_incremental_index_equals_lazy_index(nested_cfg, nested_behavior):
-    """EventIndexBuilder fed chunk-by-chunk == trace.events() built lazily."""
-    walker = VecWalker(nested_cfg, nested_behavior, seed=6, chunk_steps=997)
-    builder = EventIndexBuilder(nested_cfg.num_nodes)
-    for batch in walker.run_batches(30_000):
-        builder.add_batch(batch)
-    incremental = builder.finalize()
+# Block-id spaces on both sides of each narrow sort-key width: uint8
+# (<= 256 ids), uint16 (<= 65536) and uint32 beyond.
+KEY_WIDTHS = (1, 256, 257, 65536, 65537)
 
-    lazy = scalar_trace(nested_cfg, nested_behavior, 30_000, seed=6).events()
-    assert incremental.keys() == lazy.keys()
-    for block in lazy:
-        np.testing.assert_array_equal(incremental[block].steps,
-                                      lazy[block].steps)
-        np.testing.assert_array_equal(incremental[block].taken_prefix,
-                                      lazy[block].taken_prefix)
 
+@st.composite
+def raw_trace(draw):
+    num_blocks = draw(st.one_of(st.integers(1, 300),
+                                st.sampled_from(KEY_WIDTHS)))
+    # Bias ids toward both ends of the range, where a wrong key width
+    # would merge or reorder blocks.
+    block = st.one_of(st.integers(0, num_blocks - 1),
+                      st.sampled_from([0, num_blocks - 1]))
+    blocks = draw(st.lists(block, max_size=300))
+    taken = draw(st.lists(st.sampled_from([-1, 0, 1]),
+                          min_size=len(blocks), max_size=len(blocks)))
+    return ExecutionTrace(np.array(blocks, dtype=np.int64),
+                          np.array(taken, dtype=np.int64), num_blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_trace())
+@example(ExecutionTrace(np.zeros(0, np.int32), np.zeros(0, np.int8), 4))
+@example(ExecutionTrace(np.array([0]), np.array([1]), 1))
+def test_event_index_equals_brute_force(trace):
+    assert_index_is_brute_force(trace)
+
+
+@pytest.mark.parametrize("num_blocks", KEY_WIDTHS)
+def test_event_index_at_key_width_boundaries(num_blocks):
+    rng = np.random.default_rng(num_blocks)
+    blocks = rng.integers(0, num_blocks, size=2_000)
+    blocks[::97] = num_blocks - 1  # the widest id the key must hold
+    blocks[1::89] = 0
+    taken = rng.integers(-1, 2, size=2_000)
+    assert_index_is_brute_force(ExecutionTrace(blocks, taken, num_blocks))
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_event_index_of_empty_and_one_step_walks(nested_cfg,
+                                                 nested_behavior, steps):
+    trace = VecWalker(nested_cfg, nested_behavior, seed=3).run(steps)
+    assert trace.num_steps == steps
+    assert_index_is_brute_force(trace)
+
+
+def test_recorded_trace_index_is_lazy(nested_cfg, nested_behavior):
+    """The walker leaves the index unbuilt; the first reader pays."""
+    trace = record_trace(nested_cfg, nested_behavior, 20_000, seed=2)
+    assert trace._events is None
+    assert_index_is_brute_force(trace)
+
+
+# ---------------------------------------------------------------------------
+# Replay over the recorded trace.
+# ---------------------------------------------------------------------------
 
 def _replay_fingerprint(dbt):
     return (sorted(dbt.freeze_step.items()),
@@ -292,33 +341,31 @@ def _replay_fingerprint(dbt):
             [(r.region_id, tuple(r.members)) for r in dbt.regions])
 
 
-def _streamed_trace(cfg, behavior, steps, seed):
-    """The production hand-off: vector batches assembled with the event
-    index built chunk by chunk."""
-    walker = VecWalker(cfg, behavior, seed=seed, chunk_steps=509)
-    return assemble_trace(walker.run_batches(steps), cfg.num_nodes,
-                          build_index=True)
+def _recorded_trace(cfg, behavior, steps, seed):
+    """The production hand-off, with flush edges off every loop period."""
+    with flush_every(509):
+        return record_trace(cfg, behavior, steps, seed=seed)
 
 
 def test_replay_from_batches_equals_scalar_replay(nested_cfg,
                                                   nested_behavior):
-    """A replay over the streamed trace must reach the same
+    """A replay over the recorded trace must reach the same
     regions/freezes as the scalar oracles: the scalar walker's trace fed
     to the scalar replay."""
     config = DBTConfig(threshold=50)
     scalar = scalar_trace(nested_cfg, nested_behavior, 60_000, seed=8)
     expected = oracle_replay(scalar, nested_cfg, config)
 
-    streamed = _streamed_trace(nested_cfg, nested_behavior, 60_000, seed=8)
-    got = ReplayDBT(streamed, nested_cfg, config).run()
+    recorded = _recorded_trace(nested_cfg, nested_behavior, 60_000, seed=8)
+    got = ReplayDBT(recorded, nested_cfg, config).run()
     assert _replay_fingerprint(expected) == _replay_fingerprint(got)
 
 
 def test_multireplay_from_batches(nested_cfg, nested_behavior):
     thresholds = [5, 50, 500]
     scalar = scalar_trace(nested_cfg, nested_behavior, 60_000, seed=8)
-    streamed = _streamed_trace(nested_cfg, nested_behavior, 60_000, seed=8)
-    got = MultiThresholdReplay(streamed, nested_cfg, thresholds).run()
+    recorded = _recorded_trace(nested_cfg, nested_behavior, 60_000, seed=8)
+    got = MultiThresholdReplay(recorded, nested_cfg, thresholds).run()
     for t in thresholds:
         expected = oracle_replay(scalar, nested_cfg, DBTConfig(threshold=t))
         assert _replay_fingerprint(expected) == \
@@ -328,9 +375,8 @@ def test_multireplay_from_batches(nested_cfg, nested_behavior):
 @pytest.mark.parametrize("name", ["gzip", "mcf", "art"])
 def test_benchmark_traces_equal_scalar_oracle(name):
     """The study's recording path (``SyntheticBenchmark.trace`` ->
-    ``record_trace``: streamed batches, event index built chunk by
-    chunk) against the scalar walker, on both inputs of the benchmarks
-    the golden reduced study runs."""
+    ``record_trace``) against the scalar walker, on both inputs of the
+    benchmarks the golden reduced study runs."""
     from repro.workloads import get_benchmark
 
     benchmark = get_benchmark(name).scaled(0.05)
@@ -342,12 +388,3 @@ def test_benchmark_traces_equal_scalar_oracle(name):
         assert_traces_equal(expected, benchmark.trace(input_name),
                             f"{name}:{input_name}")
 
-
-def test_assemble_trace_prebuilt_index_is_attached(nested_cfg,
-                                                   nested_behavior):
-    walker = VecWalker(nested_cfg, nested_behavior, seed=2, chunk_steps=997)
-    trace = assemble_trace(walker.run_batches(20_000), nested_cfg.num_nodes,
-                           build_index=True)
-    assert trace._events is not None  # index arrived pre-built
-    lazy = scalar_trace(nested_cfg, nested_behavior, 20_000, seed=2)
-    assert_traces_equal(lazy, trace)
