@@ -1,7 +1,7 @@
 """Micro-benchmark: scalar oracles vs the production walker and replay.
 
 Times trace recording for every (benchmark, input) cell of the suite
-with the scalar ``CFGWalker`` oracle and the vectorized kernel, asserts
+with the scalar ``CFGWalker`` oracle and the compiled walk kernel, asserts
 the event streams are byte-identical, and writes ``BENCH_kernel.json``::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --out BENCH_kernel.json
@@ -13,8 +13,9 @@ minimum** for both kernels.  Solo back-to-back sweeps systematically
 flatter whichever side runs second; interleaved minima are the honest
 comparison.
 
-The headline ``walker`` section times the raw event kernels with no
-per-block index on either side (``CFGWalker.run`` vs ``VecWalker.run``).
+The headline ``walker`` section times the raw walks with no per-block
+index on either side (``CFGWalker.run`` vs ``record_trace``, which
+drives the compiled C loop; it is built, if need be, before timing).
 The secondary ``replay_ready`` section times the full hand-off to the
 replay — trace plus per-block event index — the denominator that
 matters for end-to-end study runs.  Both sides build that index through
@@ -63,36 +64,34 @@ def _cell_params(benchmark, input_name):
 def bench_kernels(reps, scale, with_index=False):
     """Interleaved best-of-N cell times; asserts stream identity once.
 
-    ``with_index=False`` races the raw kernels (no per-block event index
+    ``with_index=False`` races the raw walks (no per-block event index
     on either side); ``with_index=True`` races the replay-ready hand-off
     (trace *plus* index, built by the same ``trace.events()`` on both
-    sides; the vector side via the public :func:`record_trace` path).
+    sides).  The compiled side runs through the public
+    :func:`record_trace` path either way.
     """
     import numpy as np
 
-    from repro.stochastic import CFGWalker, VecWalker, record_trace
+    from repro.stochastic import CFGWalker, record_trace
 
     cells = list(_cells(scale))
+    # Build (or load) the compiled kernel outside the timed region.
+    record_trace(cells[0][1].cfg, _cell_params(cells[0][1], "ref")[0], 0)
     best = {label: [float("inf"), float("inf")] for label, _, _ in cells}
     mismatches = []
     for rep in range(reps):
         for label, benchmark, input_name in cells:
             behavior, steps, seed = _cell_params(benchmark, input_name)
             cfg = benchmark.cfg
+            t0 = time.perf_counter()
+            scalar = CFGWalker(cfg, behavior, seed=seed).run(steps)
             if with_index:
-                t0 = time.perf_counter()
-                scalar = CFGWalker(cfg, behavior, seed=seed).run(steps)
                 scalar.events()
-                t1 = time.perf_counter()
-                vector = record_trace(cfg, behavior, steps, seed=seed)
+            t1 = time.perf_counter()
+            vector = record_trace(cfg, behavior, steps, seed=seed)
+            if with_index:
                 vector.events()
-                t2 = time.perf_counter()
-            else:
-                t0 = time.perf_counter()
-                scalar = CFGWalker(cfg, behavior, seed=seed).run(steps)
-                t1 = time.perf_counter()
-                vector = VecWalker(cfg, behavior, seed=seed).run(steps)
-                t2 = time.perf_counter()
+            t2 = time.perf_counter()
             cell = best[label]
             cell[0] = min(cell[0], t1 - t0)
             cell[1] = min(cell[1], t2 - t1)
@@ -106,7 +105,7 @@ def bench_kernels(reps, scale, with_index=False):
 def bench_replay(reps, scale):
     """Interleaved best-of-N replay-path times; asserts bit identity.
 
-    Each cell pre-records one reference trace (vector kernel — both
+    Each cell pre-records one reference trace (compiled kernel — both
     contenders consume identical bytes), then races, per repetition,
     the scalar oracle (per-event heap walk per threshold + per-step
     cost estimates) against the production path (batched windowed

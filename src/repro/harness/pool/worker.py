@@ -103,8 +103,41 @@ class WorkerJobError(RuntimeError):
                  self.finished_at))
 
 
+#: Thread-count setters of the OpenBLAS builds numpy wheels bundle.
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def single_thread_blas() -> None:
+    """Run this process's numpy BLAS on one thread.
+
+    The pool already gives each core a worker.  numpy's bundled OpenBLAS
+    adds a thread pool per worker on top, and those threads spin against
+    the other workers: a ``--jobs 2`` full study on two cores ran 5-17 s
+    with them and 2.3-3.1 s without.  The study's solves are small, so a
+    second BLAS thread buys no wall time even alone.  Workers fork after
+    OpenBLAS has started, when ``OPENBLAS_NUM_THREADS`` is no longer
+    read, so the cap goes through the library's own setter.  A numpy
+    without a bundled OpenBLAS is left as it is.
+    """
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SET_THREADS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                break
+
+
 def pool_worker_init(profile: bool = False) -> None:
-    """Pool initializer: stamp spawn time, arm faults and profiling.
+    """Pool initializer: stamp spawn time, arm faults and profiling, and
+    put BLAS on one thread (:func:`single_thread_blas`).
 
     Also pre-imports the study machinery so a worker pays the import
     bill once, at spawn — under the default fork start method the
@@ -115,6 +148,7 @@ def pool_worker_init(profile: bool = False) -> None:
     _WORKER_SPAWNED_AT = time.perf_counter()
     faults.mark_worker_process()
     obsprofile.set_profiling(profile)
+    single_thread_blas()
     from .. import runner  # noqa: F401  (import once per worker, not per job)
 
 

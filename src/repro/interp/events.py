@@ -8,7 +8,7 @@ through the :class:`ExecutionListener` protocol; anything implementing it
 
 Scalar listeners pay one Python call per event, which caps the throughput
 of SPEC-scale runs.  The study therefore never streams events: the
-vectorized walker kernel (:mod:`repro.stochastic.vecwalker`) returns the
+compiled walk kernel (:mod:`repro.stochastic.kernel`) returns the
 whole run as one :class:`repro.stochastic.trace.ExecutionTrace`, and
 :func:`repro.stochastic.walker.replay_trace` drives a scalar listener
 from such a trace when one is needed.

@@ -41,17 +41,11 @@ class Instrument:
 CATALOG: List[Instrument] = [
     # -- kernels and the interpreter reference --------------------------------
     Instrument("kernel.vector.runs", "counter",
-               "Trace recordings performed by the vector walker."),
+               "Trace recordings performed by the compiled walk kernel."),
     Instrument("kernel.vector.steps", "counter",
-               "Simulated steps walked by the vector kernel."),
-    Instrument("kernel.vector.chunks", "counter",
-               "Vectorised chunks processed across runs."),
+               "Simulated steps walked by the compiled walk kernel."),
     Instrument("kernel.vector.decisions", "counter",
-               "Branch decisions drawn by the vector kernel."),
-    Instrument("kernel.vector.decisions.window", "counter",
-               "Vector decisions satisfied from the batched window."),
-    Instrument("kernel.vector.decisions.slow", "counter",
-               "Vector decisions that fell back to the scalar path."),
+               "Branch decisions drawn by the compiled walk kernel."),
     Instrument("interp.runs", "counter",
                "Reference interpreter executions."),
     Instrument("interp.steps", "counter",

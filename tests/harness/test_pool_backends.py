@@ -259,3 +259,40 @@ def test_fired_token_consumed_on_failure():
     assert set(dispatch.outputs) == {"gzip"}  # retry succeeded
     assert counter_value("faults.refunded") == refunded
     assert plan.draw("gzip") is None  # budget spent
+
+
+def _blas_threads():
+    """numpy's bundled OpenBLAS thread count in this process, or None."""
+    import ctypes
+    import glob
+    import os
+
+    import numpy as np
+
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    """Each pool worker caps numpy's OpenBLAS at one thread, so workers
+    do not oversubscribe the cores; the parent process keeps its own."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.harness.pool.worker import pool_worker_init
+
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy has no bundled OpenBLAS to cap")
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx,
+                             initializer=pool_worker_init) as pool:
+        assert pool.submit(_blas_threads).result(timeout=60) == 1
+    assert _blas_threads() == before

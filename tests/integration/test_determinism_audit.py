@@ -6,8 +6,9 @@ seeded generator (``random.Random(seed)`` or a transplanted
 ``random`` functions or the global numpy generator would make runs
 irreproducible and break the byte-identity guarantees the golden corpus
 pins — so these tests boobytrap every global entry point and then drive
-the public API under both walkers: the production vector kernel and the
-scalar ``CFGWalker`` oracle swapped in where the workloads record traces.
+the public API under both walkers: the production compiled kernel (the
+``vector`` case) and the scalar ``CFGWalker`` oracle swapped in where the
+workloads record traces.
 """
 
 import random
@@ -47,8 +48,9 @@ def trapped_global_rng(monkeypatch):
                                 trap(f"numpy.random.{name}"))
 
     # random.Random() with no seed is just as ambient as random.random()
-    # — allow only explicitly seeded construction.  (VecWalker's
-    # RandomState() is exempt: it is state-transplanted before any draw.)
+    # — allow only explicitly seeded construction.  (The RandomState()
+    # in numpy_uniform_stream, which feeds the compiled walk kernel, is
+    # exempt: it is state-transplanted before any draw.)
     real_random = random.Random
 
     def seeded_only(*args, **kwargs):

@@ -1,19 +1,22 @@
-"""Differential wall: the vector kernel must equal the scalar oracle.
+"""Differential wall: the compiled walk kernel must equal the scalar oracle.
 
 Every test here asserts the same contract from a different angle: for
-the same (CFG, behaviour, seed), :class:`VecWalker` produces an event
-stream byte-identical to :class:`CFGWalker` — same blocks, same branch
-outcomes, same counter tables, same per-block event index, same replay
-regions — regardless of where the kernel flushes its decided segments or
-which vectorized fast path the input happens to exercise.
+the same (CFG, behaviour, seed), the compiled kernel behind
+:func:`record_trace` produces an event stream byte-identical to
+:class:`CFGWalker` — same blocks, same branch outcomes, same counter
+tables, same per-block event index, same replay regions — regardless of
+where the kernel hands control back to Python to refill its uniform
+block or to empty its output block.
 
 The hypothesis tests fuzz arbitrary CFG shapes and behaviour mixes; the
-named tests pin the structural edge cases (flush boundaries at 1 /
-prime / beyond the run length, warm-up expiry mid-chunk, phase changes
-mid-window, single-successor cycles, immediate exits, start overrides).
-The per-block event index is checked against a brute-force rebuild.
+named tests pin the structural edge cases (block sizes of 1 / prime /
+beyond the run length, resumes landing on a phase change, on the last
+warm-up use and on an exit node, single-successor cycles, immediate
+exits, start overrides, huge step budgets).  The per-block event index
+is checked against a brute-force rebuild.
 """
 
+import ctypes
 import random
 from contextlib import contextmanager
 from unittest import mock
@@ -25,32 +28,49 @@ from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
 from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
-from repro.obs.registry import counter_value
 from repro.stochastic import (CFGWalker, ExecutionTrace, ProgramBehavior,
-                              VecWalker, drifting, numpy_uniform_stream,
-                              phased, record_trace, steady, vecwalker, warmup)
+                              drifting, kernel, numpy_uniform_stream, phased,
+                              record_trace, steady, warmup)
 from tests.oracles import oracle_replay
 
-# Flush granularities straddling every interesting boundary: degenerate
-# (1), prime (so flush edges never align with loop periods), and larger
-# than any run these tests record.
+# Block sizes straddling every interesting boundary: degenerate (1),
+# prime (so resume points never align with loop periods), and larger
+# than any run these tests record.  Each applies to both the uniform
+# block and the output block.
 CHUNKS = (1, 13, 4096, 10**6)
 
 
 @contextmanager
-def flush_every(chunk):
-    """Run the vector kernel with its flush granularity set to ``chunk``."""
-    with mock.patch.object(vecwalker, "_FLUSH_STEPS", chunk):
+def blocks_of(uniforms, out=None):
+    """Run the kernel with ``uniforms`` per uniform block and ``out``
+    (default: the same) steps per output block."""
+    with mock.patch.object(kernel, "_UNIFORM_BLOCK", uniforms), \
+            mock.patch.object(kernel, "_OUT_BLOCK",
+                              uniforms if out is None else out):
         yield
+
+
+@contextmanager
+def kernel_calls():
+    """Collect the step at which each kernel call starts (or resumes)."""
+    real = kernel._load(kernel._CACHE_DIR)
+    starts = []
+
+    def spy(state, *args):
+        starts.append(ctypes.c_int64.from_address(state + 8).value)
+        return real(state, *args)
+
+    with mock.patch.object(kernel, "_load", lambda cache_dir: spy):
+        yield starts
 
 
 def scalar_trace(cfg, behavior, steps, seed, start=None):
     return CFGWalker(cfg, behavior, seed=seed).run(steps, start=start)
 
 
-def vector_trace(cfg, behavior, steps, seed, chunk, start=None):
-    with flush_every(chunk):
-        return VecWalker(cfg, behavior, seed=seed).run(steps, start=start)
+def vector_trace(cfg, behavior, steps, seed, uniforms, out=None, start=None):
+    with blocks_of(uniforms, out):
+        return kernel._walk(cfg, behavior, steps, seed, start=start)
 
 
 def assert_traces_equal(scalar, vector, label=""):
@@ -146,18 +166,19 @@ def walk_case(draw):
     cfg = draw(cfg_strategy())
     behavior = draw(behavior_strategy(cfg, steps))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    chunk = draw(st.sampled_from(CHUNKS))
-    return cfg, behavior, steps, seed, chunk
+    uniforms = draw(st.sampled_from(CHUNKS))
+    out = draw(st.sampled_from(CHUNKS))
+    return cfg, behavior, steps, seed, (uniforms, out)
 
 
 @settings(max_examples=150, deadline=None)
 @given(walk_case())
 def test_fuzz_vector_equals_scalar(case):
-    cfg, behavior, steps, seed, chunk = case
+    cfg, behavior, steps, seed, sizes = case
     scalar = scalar_trace(cfg, behavior, steps, seed)
-    vector = vector_trace(cfg, behavior, steps, seed, chunk)
+    vector = vector_trace(cfg, behavior, steps, seed, *sizes)
     assert_traces_equal(scalar, vector,
-                        f"steps={steps} seed={seed} chunk={chunk}")
+                        f"steps={steps} seed={seed} blocks={sizes}")
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,10 +198,13 @@ def test_fuzz_start_override(case, start):
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_nested_cfg_every_chunking(nested_cfg, nested_behavior, chunk):
-    """The workhorse shape: nested loops + diamond, 50k steps."""
+    """The workhorse shape: nested loops + diamond, 50k steps, with
+    ``chunk`` steps per output block against every uniform block size."""
     scalar = scalar_trace(nested_cfg, nested_behavior, 50_000, seed=11)
-    vector = vector_trace(nested_cfg, nested_behavior, 50_000, 11, chunk)
-    assert_traces_equal(scalar, vector, f"chunk={chunk}")
+    for uniforms in CHUNKS:
+        vector = vector_trace(nested_cfg, nested_behavior, 50_000, 11,
+                              uniforms, chunk)
+        assert_traces_equal(scalar, vector, f"blocks={uniforms},{chunk}")
 
 
 @pytest.mark.parametrize("make", [
@@ -193,19 +217,21 @@ def test_nested_cfg_every_chunking(nested_cfg, nested_behavior, chunk):
     lambda: drifting(0.99, 0.01, 2_000, segments=7),
 ])
 def test_each_behavior_kind_on_hot_self_loop(make):
-    """A hot self-loop hits the simple-window fast path for every kind."""
+    """Every behaviour kind on a hot self-loop, where each step is a
+    decision, so every uniform block boundary is a resume point."""
     cfg = ControlFlowGraph([(1,), (1, 2), ()])
     behavior = ProgramBehavior()
     behavior.set(1, make())
+    scalar = scalar_trace(cfg, behavior, 2_000, seed=3)
     for chunk in CHUNKS:
-        scalar = scalar_trace(cfg, behavior, 2_000, seed=3)
         vector = vector_trace(cfg, behavior, 2_000, 3, chunk)
         assert_traces_equal(scalar, vector, f"chunk={chunk}")
 
 
 def test_multi_block_loop_body_general_window():
-    """A loop whose body spans several blocks exercises the general
-    (plen > 1) window path with a mid-body conditional."""
+    """A loop whose body spans several blocks with a mid-body
+    conditional: decisions and straight-line steps interleave, so the
+    uniform and output blocks run out at unrelated steps."""
     cfg = ControlFlowGraph([
         (1,),        # 0 entry
         (2, 4),      # 1 header: fall -> body, taken -> out
@@ -216,19 +242,20 @@ def test_multi_block_loop_body_general_window():
     behavior = ProgramBehavior()
     behavior.set(1, steady(0.002))
     behavior.set(2, steady(0.3))
-    for chunk in (1, 13, 4096):
-        scalar = scalar_trace(cfg, behavior, 30_000, seed=5)
-        vector = vector_trace(cfg, behavior, 30_000, 5, chunk)
-        assert_traces_equal(scalar, vector, f"chunk={chunk}")
+    scalar = scalar_trace(cfg, behavior, 30_000, seed=5)
+    for uniforms in (1, 13, 4096):
+        for out in (1, 13, 4096):
+            vector = vector_trace(cfg, behavior, 30_000, 5, uniforms, out)
+            assert_traces_equal(scalar, vector, f"blocks={uniforms},{out}")
 
 
 def test_phase_change_inside_window():
-    """A phase boundary landing mid-window must split the window."""
+    """A phase boundary landing inside a uniform or output block."""
     cfg = ControlFlowGraph([(0, 1), ()])
     behavior = ProgramBehavior()
     behavior.set(0, phased([(0.5, 0.01), (0.5, 0.99)], 1_000))
+    scalar = scalar_trace(cfg, behavior, 1_000, seed=21)
     for chunk in CHUNKS:
-        scalar = scalar_trace(cfg, behavior, 1_000, seed=21)
         vector = vector_trace(cfg, behavior, 1_000, 21, chunk)
         assert_traces_equal(scalar, vector, f"chunk={chunk}")
 
@@ -249,14 +276,90 @@ def test_degenerate_shapes():
 
 
 def test_flush_granularity_is_live(nested_cfg, nested_behavior):
-    """Patching the flush constant really changes how often the kernel
-    flushes, so the boundary cases above exercise what they claim."""
-    flushes = []
-    for chunk in (1, 10**6):
-        before = counter_value("kernel.vector.chunks")
-        vector_trace(nested_cfg, nested_behavior, 5_000, 1, chunk)
-        flushes.append(counter_value("kernel.vector.chunks") - before)
-    assert flushes[0] > 100 and flushes[1] == 1
+    """Patching either block size really changes how often the kernel
+    hands back to Python, so the cases above exercise what they claim."""
+    calls = {}
+    for sizes in ((10**6, 10**6), (1, 10**6), (10**6, 1)):
+        with kernel_calls() as starts:
+            vector_trace(nested_cfg, nested_behavior, 5_000, 1, *sizes)
+        calls[sizes] = len(starts)
+    # One call to reach the first branch, one after the single refill.
+    assert calls[10**6, 10**6] == 2
+    assert calls[1, 10**6] > 1_000  # one call per decision
+    assert calls[10**6, 1] >= 5_000  # one call per step
+
+
+# A self-loop that stays hot, then cools at step 500 (until == 500.0).
+RESUME_CFG = ControlFlowGraph([(0, 1), ()])
+
+
+@pytest.mark.parametrize("uniforms,out", [(500, 10**6), (10**6, 500)])
+def test_resume_on_phase_change_step(uniforms, out):
+    """A call that resumes exactly at a phase boundary applies the new
+    probability to that step's decision, once."""
+    behavior = ProgramBehavior()
+    behavior.set(0, phased([(0.5, 1.0), (0.5, 0.0)], 1_000))
+    scalar = scalar_trace(RESUME_CFG, behavior, 1_000, seed=4)
+    assert scalar.num_steps == 502  # 500 taken, one fall, the exit
+    with kernel_calls() as starts:
+        vector = vector_trace(RESUME_CFG, behavior, 1_000, 4, uniforms, out)
+    assert 500 in starts
+    assert_traces_equal(scalar, vector, f"blocks={uniforms},{out}")
+
+
+@pytest.mark.parametrize("uniforms,out",
+                         [(16, 10**6), (10**6, 16), (17, 10**6),
+                          (10**6, 17)])
+def test_resume_on_last_warmup_use(uniforms, out):
+    """Warm-up counts down across calls: resuming just before or just
+    after the 17th (last) warm-up use leaves the 18th use steady."""
+    behavior = ProgramBehavior()
+    behavior.set(0, warmup(uses=17, p_init=1.0, p_steady=0.0))
+    scalar = scalar_trace(RESUME_CFG, behavior, 100, seed=9)
+    assert scalar.taken.tolist() == [1] * 17 + [0, -1]
+    with kernel_calls() as starts:
+        vector = vector_trace(RESUME_CFG, behavior, 100, 9, uniforms, out)
+    assert min(uniforms, out) in starts
+    assert_traces_equal(scalar, vector, f"blocks={uniforms},{out}")
+
+
+@pytest.mark.parametrize("cfg,p,exit_step", [
+    (ControlFlowGraph([(1,), (2,), ()]), None, 2),
+    (RESUME_CFG, 0.0, 1),
+])
+def test_resume_on_exit_node(cfg, p, exit_step):
+    """A call resuming on an exit node records it and ends the walk,
+    whether it follows a straight-line block or a branch."""
+    behavior = ProgramBehavior()
+    if p is not None:
+        behavior.set(0, steady(p))
+    scalar = scalar_trace(cfg, behavior, 10, seed=0)
+    assert scalar.num_steps == exit_step + 1
+    with kernel_calls() as starts:
+        vector = vector_trace(cfg, behavior, 10, 0, 10**6, exit_step)
+    assert starts[-1] == exit_step
+    assert_traces_equal(scalar, vector)
+
+
+@pytest.mark.parametrize("start", [-1, 3])
+def test_start_outside_cfg_is_rejected(start):
+    """The kernel indexes its node tables unchecked, so a start node
+    outside the CFG is refused before any native call."""
+    cfg = ControlFlowGraph([(1,), (2,), ()])
+    with kernel_calls() as starts, pytest.raises(IndexError):
+        kernel._walk(cfg, ProgramBehavior(), 10, start=start)
+    assert starts == []
+
+
+def test_huge_budget_is_never_allocated():
+    """A walk that exits after 3 steps under a 10**12-step budget
+    returns a 3-step trace that owns exactly its own bytes."""
+    cfg = ControlFlowGraph([(1,), (2,), ()])
+    trace = record_trace(cfg, ProgramBehavior(), 10**12)
+    assert trace.blocks.tolist() == [0, 1, 2]
+    assert trace.taken.tolist() == [-1, -1, -1]
+    for array in (trace.blocks, trace.taken):
+        assert array.base is None and array.nbytes == 3 * array.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +422,7 @@ def test_event_index_at_key_width_boundaries(num_blocks):
 @pytest.mark.parametrize("steps", [0, 1])
 def test_event_index_of_empty_and_one_step_walks(nested_cfg,
                                                  nested_behavior, steps):
-    trace = VecWalker(nested_cfg, nested_behavior, seed=3).run(steps)
+    trace = record_trace(nested_cfg, nested_behavior, steps, seed=3)
     assert trace.num_steps == steps
     assert_index_is_brute_force(trace)
 
@@ -342,8 +445,8 @@ def _replay_fingerprint(dbt):
 
 
 def _recorded_trace(cfg, behavior, steps, seed):
-    """The production hand-off, with flush edges off every loop period."""
-    with flush_every(509):
+    """The production hand-off, with resume points off every loop period."""
+    with blocks_of(509, 251):
         return record_trace(cfg, behavior, steps, seed=seed)
 
 
